@@ -32,7 +32,7 @@ const char* to_string(ReplicationMode m);
 struct ServerConfig {
     std::string name = "kv";
     Transport transport = Transport::kRdma;
-    std::uint16_t port = 6379;  // simlint3:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
+    std::uint16_t port = 6379;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
 
     /// SKV mode: the master posts one replication request to Nic-KV per
     /// write instead of fanning out to every slave itself.

@@ -189,7 +189,7 @@ void NicKv::handle(const net::ChannelPtr& ch, const NodeMsg& msg) {
             break;
         // The NIC originates these (or they flow host<->host around it) and
         // must never receive them; each is named so that adding an enum
-        // value forces a decision here (simlint3 unhandled-tag).
+        // value forces a decision here (simlint unhandled-tag).
         case NodeMsg::Type::kSyncNotify:
         case NodeMsg::Type::kFullSync:
         case NodeMsg::Type::kBacklog:
@@ -375,7 +375,7 @@ void NicKv::chain_forward(const NodeMsg& msg) {
     stats_.incr("chain_no_head");
 }
 
-// simlint3:observe-only
+// simlint:observe-only
 std::vector<std::string> NicKv::chain_order() const {
     std::vector<std::string> out;
     for (const auto& e : nodes_) {

@@ -20,7 +20,7 @@ namespace skv::offload {
 
 struct NicKvConfig {
     std::string name = "nic-kv";
-    std::uint16_t port = 7000;  // simlint3:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
+    std::uint16_t port = 7000;  // simlint:allow(knob-drift) endpoint identity assigned by Cluster, not a tunable
     /// Replication threads on the SmartNIC (paper §III-C). Clamped at run
     /// time to min(ARM cores, slave count); 1 disables multi-threading,
     /// the paper's default.

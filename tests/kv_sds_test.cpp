@@ -2,6 +2,7 @@
 
 #include <climits>
 #include <cmath>
+#include <ostream>
 
 #include "kv/sds.hpp"
 
@@ -162,6 +163,17 @@ struct LlCase {
     bool ok;
     long long v;
 };
+
+// Without a printer gtest shows the raw bytes of LlCase, pointer included,
+// and the discovered ctest names would change with every build.
+void PrintTo(const LlCase& c, std::ostream* os) {
+    *os << '"' << c.in << "\" -> ";
+    if (c.ok) {
+        *os << c.v;
+    } else {
+        *os << "reject";
+    }
+}
 
 class String2llTest : public ::testing::TestWithParam<LlCase> {};
 

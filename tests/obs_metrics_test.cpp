@@ -77,6 +77,42 @@ TEST(ObsRegistry, ClearZeroesCellsButKeepsHandles) {
     EXPECT_EQ(r.counter("x"), 1u);
 }
 
+// The string API that net::FaultInjector keeps its stats in.
+TEST(Stats, CountersAccumulate) {
+    Registry s;
+    s.incr("ops");
+    s.incr("ops", 4);
+    EXPECT_EQ(s.counter("ops"), 5u);
+    EXPECT_EQ(s.counter("missing"), 0u);
+}
+
+TEST(Stats, Gauges) {
+    Registry s;
+    s.set_gauge("depth", 7);
+    s.set_gauge("depth", 3);
+    EXPECT_EQ(s.gauge("depth"), 3);
+    EXPECT_EQ(s.gauge("missing"), 0);
+}
+
+TEST(Stats, FormatSortedDeterministic) {
+    Registry s;
+    s.incr("zeta");
+    s.incr("alpha", 2);
+    const auto text = s.format();
+    EXPECT_LT(text.find("alpha=2"), text.find("zeta=1"));
+}
+
+TEST(Stats, ClearEmpties) {
+    // clear() empties every value; the names stay registered at zero.
+    Registry s;
+    s.incr("x");
+    s.set_gauge("g", 4);
+    s.clear();
+    EXPECT_EQ(s.counter("x"), 0u);
+    EXPECT_EQ(s.gauge("g"), 0);
+    EXPECT_EQ(s.format(), "x=0\ng=0\n");
+}
+
 TEST(ObsSnapshot, DeltaSubtractsCountersAndTimerSums) {
     Registry r;
     Counter c = r.counter_handle("ops");
