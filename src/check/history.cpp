@@ -1,6 +1,6 @@
 #include "check/history.hpp"
 
-#include <cstdio>
+#include "obs/export.hpp"
 
 namespace skv::check {
 
@@ -23,37 +23,12 @@ const char* to_string(Outcome o) {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(c) & 0xFF);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
 void append_op(std::string& out, const Op& op) {
     out += "{\"client\":" + std::to_string(op.client);
     out += ",\"seq\":" + std::to_string(op.seq);
     out += ",\"type\":\"" + std::string(to_string(op.type)) + "\"";
-    out += ",\"key\":";
-    append_escaped(out, op.key);
-    out += ",\"value\":";
-    append_escaped(out, op.value);
+    out += ",\"key\":\"" + obs::json_escape(op.key) + '"';
+    out += ",\"value\":\"" + obs::json_escape(op.value) + '"';
     out += ",\"found\":";
     out += op.found ? "true" : "false";
     out += ",\"outcome\":\"" + std::string(to_string(op.outcome)) + "\"";
@@ -76,9 +51,8 @@ std::string History::to_json() const {
 }
 
 std::string History::to_json_for_key(const std::string& key) const {
-    std::string out = "{\"schema\":\"skv-history-v1\",\"key\":";
-    append_escaped(out, key);
-    out += ",\"ops\":[\n";
+    std::string out = "{\"schema\":\"skv-history-v1\",\"key\":\"" +
+                      obs::json_escape(key) + "\",\"ops\":[\n";
     bool first = true;
     for (const Op& op : ops_) {
         if (op.key != key) continue;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -58,7 +59,14 @@ public:
 
     /// Install the receive handler. Messages arriving before a handler is
     /// installed are buffered and delivered on installation.
-    virtual void set_on_message(MessageHandler handler) = 0;
+    void set_on_message(MessageHandler handler) {
+        on_message_ = std::move(handler);
+        while (on_message_ && !pending_.empty()) {
+            auto payload = std::move(pending_.front());
+            pending_.pop_front();
+            on_message_(std::move(payload));
+        }
+    }
 
     /// Tear down this side of the channel. In-flight messages are dropped.
     virtual void close() = 0;
@@ -79,6 +87,22 @@ public:
     /// server by this id. 0 means "not assigned".
     [[nodiscard]] virtual std::uint64_t flow_id() const { return flow_id_; }
     void set_flow_id(std::uint64_t id) { flow_id_ = id; }
+
+protected:
+    /// Hand one received payload to the handler, or buffer it until a
+    /// handler is installed.
+    void deliver(std::string payload) {
+        if (on_message_) {
+            on_message_(std::move(payload));
+        } else {
+            pending_.push_back(std::move(payload));
+        }
+    }
+
+    // The inbox. A transport's close() drops `pending_` and clears
+    // `on_message_` one sim event later (the handler may be running).
+    MessageHandler on_message_;
+    std::deque<std::string> pending_; // arrived before a handler was set
 
 private:
     std::uint64_t flow_id_ = 0;

@@ -66,12 +66,12 @@ void TcpChannel::send(std::string payload) {
             self->net_.fabric().send(
                 self->self_.ep, self->peer_, bytes + 66 /* eth+ip+tcp hdrs */,
                 [remote, payload = std::move(payload)]() mutable {
-                    remote->deliver(std::move(payload));
+                    remote->receive(std::move(payload));
                 });
         });
 }
 
-void TcpChannel::deliver(std::string payload) {
+void TcpChannel::receive(std::string payload) {
     if (!open_) return;
     // Receiver-side kernel work happens when the application read()s: the
     // cost lands on the receiver's core ahead of the message handler, so
@@ -81,22 +81,8 @@ void TcpChannel::deliver(std::string payload) {
     self_.core->submit(
         net_.costs().jittered(rng_, net_.costs().tcp_side_cost(bytes)),
         [self, payload = std::move(payload)]() mutable {
-            if (!self->open_) return;
-            if (self->on_message_) {
-                self->on_message_(std::move(payload));
-            } else {
-                self->pending_.push_back(std::move(payload));
-            }
+            if (self->open_) self->deliver(std::move(payload));
         });
-}
-
-void TcpChannel::set_on_message(MessageHandler handler) {
-    on_message_ = std::move(handler);
-    while (on_message_ && !pending_.empty()) {
-        auto payload = std::move(pending_.front());
-        pending_.pop_front();
-        on_message_(std::move(payload));
-    }
 }
 
 void TcpChannel::teardown() {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 
@@ -68,7 +67,6 @@ public:
     TcpChannel(TcpNetwork& net, NodeRef self, EndpointId peer);
 
     void send(std::string payload) override;
-    void set_on_message(MessageHandler handler) override;
     void close() override;
     [[nodiscard]] bool open() const override { return open_; }
     [[nodiscard]] EndpointId peer() const override { return peer_; }
@@ -78,7 +76,8 @@ private:
     friend class TcpNetwork;
 
     void wire(std::shared_ptr<TcpChannel> remote) { remote_ = std::move(remote); }
-    void deliver(std::string payload);
+    /// A segment arrived: pay the receive-side kernel cost, then deliver.
+    void receive(std::string payload);
     /// Local half of close(): stop delivery, release buffered payloads and
     /// (deferred) the installed handler. Runs on explicit close and on FIN
     /// receipt so both ends release their object graphs.
@@ -88,8 +87,6 @@ private:
     NodeRef self_;
     EndpointId peer_;
     std::weak_ptr<TcpChannel> remote_;
-    MessageHandler on_message_;
-    std::deque<std::string> pending_; // arrived before a handler was set
     bool open_ = true;
     sim::Rng rng_;
 };

@@ -78,6 +78,14 @@ void ConnectionManager::connect(net::NodeRef from, net::EndpointId to,
                     from.ep, listener.node.ep, kCtrlBytes,
                     [listener, client_ch, server_ch, srv_qp]() mutable {
                         listener.node.core->consume(sim::nanoseconds(200));
+                        if (!client_ch->open()) {
+                            // The initiator abandoned the connection before
+                            // it was established (a superseded dial): the
+                            // passive side tears its end down instead of
+                            // handing the listener a link nobody will use.
+                            server_ch->close();
+                            return;
+                        }
                         server_ch->attach(srv_qp, client_ch->recv_mr()->rkey(),
                                           client_ch->recv_mr()->size());
                         if (listener.on_accept) listener.on_accept(server_ch);

@@ -248,11 +248,7 @@ void RingChannel::handle_data(const Completion& c) {
     if (flag != kFinal) return;
     std::string payload = std::move(reassembly_);
     reassembly_.clear();
-    if (on_message_) {
-        on_message_(std::move(payload));
-    } else {
-        pending_.push_back(std::move(payload));
-    }
+    deliver(std::move(payload));
 }
 
 void RingChannel::maybe_return_credits() {
@@ -265,15 +261,6 @@ void RingChannel::maybe_return_credits() {
     consumed_since_credit_ = 0;
     ++credit_msgs_;
     qp_->post_send(std::move(wr));
-}
-
-void RingChannel::set_on_message(MessageHandler handler) {
-    on_message_ = std::move(handler);
-    while (on_message_ && !pending_.empty()) {
-        auto payload = std::move(pending_.front());
-        pending_.pop_front();
-        on_message_(std::move(payload));
-    }
 }
 
 void RingChannel::close() {

@@ -64,21 +64,22 @@ void KvServer::start() {
 }
 
 void KvServer::listen_all() {
-    auto client_accept = [this](net::ChannelPtr ch) {
+    auto listen = [this](std::uint16_t port,
+                         std::function<void(net::ChannelPtr)> on_accept) {
+        if (cfg_.transport == Transport::kTcp) {
+            nets_.tcp->listen(self_, port, std::move(on_accept));
+        } else {
+            nets_.cm->listen(self_, port, std::move(on_accept));
+        }
+    };
+    listen(cfg_.port, [this](net::ChannelPtr ch) {
         if (ch) on_client_accept(std::move(ch));
-    };
-    auto node_accept = [this](net::ChannelPtr ch) {
-        if (ch) on_node_accept(std::move(ch));
-    };
-    if (cfg_.transport == Transport::kTcp) {
-        nets_.tcp->listen(self_, cfg_.port, client_accept);
-        nets_.tcp->listen(self_, static_cast<std::uint16_t>(cfg_.port + 1),
-                          node_accept);
-    } else {
-        nets_.cm->listen(self_, cfg_.port, client_accept);
-        nets_.cm->listen(self_, static_cast<std::uint16_t>(cfg_.port + 1),
-                         node_accept);
-    }
+    });
+    listen(static_cast<std::uint16_t>(cfg_.port + 1), [this](net::ChannelPtr ch) {
+        if (!ch) return;
+        adopt_node_link(std::move(ch));
+        stats_.incr("node_links_accepted");
+    });
 }
 
 void KvServer::set_tracer(obs::Tracer* tracer, const std::string& track_name) {
@@ -104,9 +105,18 @@ void KvServer::on_client_accept(net::ChannelPtr ch) {
     });
 }
 
-void KvServer::install_node_handler(const ClientPtr& conn) {
+net::ChannelPtr KvServer::adopt_node_link(net::ChannelPtr ch) {
+    if (cfg_.reliable_node_links) {
+        ch = ReliableChannel::wrap(
+            sim_, std::move(ch), cfg_.reliable, &stats_,
+            [this](const net::Channel* broken) { on_node_link_broken(broken); });
+    }
+    auto conn = std::make_shared<ClientConn>();
+    conn->channel = ch;
+    conn->node_link = true;
+    clients_.push_back(conn);
     std::weak_ptr<ClientConn> wconn = conn;
-    conn->channel->set_on_message([this, wconn](std::string payload) {
+    ch->set_on_message([this, wconn](std::string payload) {
         auto conn = wconn.lock();
         if (!conn || crashed_) return;
         const auto msg = NodeMsg::decode(payload);
@@ -116,6 +126,50 @@ void KvServer::install_node_handler(const ClientPtr& conn) {
         }
         handle_node_msg(conn, *msg);
     });
+    return ch;
+}
+
+void KvServer::dial_node(net::EndpointId ep, std::uint16_t port,
+                         std::uint64_t* attempt, net::ChannelPtr* link,
+                         NodeLinkUp on_up, NodeRedial redial) {
+    const std::uint64_t mine = attempt != nullptr ? ++*attempt : 0;
+    auto on_connected = [this, attempt, mine, link,
+                         on_up = std::move(on_up)](net::ChannelPtr ch) {
+        // A crashed process closes nothing (see crash()).
+        if (!ch || crashed_) return;
+        if (attempt != nullptr && *attempt != mine) {
+            // Superseded by a newer dial: close it, or the peer keeps the
+            // accepted link (and its connection record) for good.
+            ch->close();
+            return;
+        }
+        ch = adopt_node_link(std::move(ch));
+        if (link != nullptr) *link = ch;
+        on_up(ch);
+    };
+    if (cfg_.transport == Transport::kTcp) {
+        nets_.tcp->connect(self_, ep, port, std::move(on_connected));
+    } else {
+        nets_.cm->connect(self_, ep, port, std::move(on_connected));
+    }
+    if (!redial) return;
+    SKV_DCHECK(attempt != nullptr && link != nullptr);
+    // The connection handshake itself rides unprotected fabric messages:
+    // if it falls into a loss hole, start over.
+    sim_.after(cfg_.connect_retry, [this, attempt, mine, link,
+                                    redial = std::move(redial)]() {
+        if (crashed_ || *attempt != mine) return;
+        if (*link && (*link)->open()) return;
+        if (redial()) stats_.incr("connect_retries");
+    });
+}
+
+void KvServer::drop_link(net::ChannelPtr& link) {
+    if (!link) return;
+    const net::Channel* raw = link.get();
+    link->close();
+    link.reset();
+    release_conn(raw);
 }
 
 void KvServer::release_conn(const net::Channel* raw) {
@@ -124,14 +178,6 @@ void KvServer::release_conn(const net::Channel* raw) {
         c->channel->close();
         return true;
     });
-}
-
-net::ChannelPtr KvServer::wrap_node_link(net::ChannelPtr ch) {
-    if (!cfg_.reliable_node_links || !ch) return ch;
-    auto rel = ReliableChannel::wrap(sim_, std::move(ch), cfg_.reliable, &stats_);
-    const net::Channel* raw = rel.get();
-    rel->set_on_broken([this, raw]() { on_node_link_broken(raw); });
-    return rel;
 }
 
 void KvServer::on_node_link_broken(const net::Channel* raw) {
@@ -157,50 +203,32 @@ void KvServer::on_node_link_broken(const net::Channel* raw) {
         }
     }
     if (removed_slave) flush_parked();
-    if (master_link_ && master_link_.get() == raw) {
-        master_link_->close();
-        master_link_.reset();
-    }
+    if (master_link_.get() == raw) drop_link(master_link_);
     // SKV links to the local Nic-KV: dial again (the attempt counter makes
     // a superseded reconnect harmless).
-    if (nic_link_ && nic_link_.get() == raw) {
-        nic_link_->close();
-        nic_link_.reset();
+    if (nic_link_.get() == raw) {
+        drop_link(nic_link_);
         nic_attached_ = false;
-        release_conn(raw);
         if (cfg_.offload_replication && skv_nic_ep_ != net::kInvalidEndpoint) {
             attach_nic(skv_nic_ep_, skv_nic_port_);
         }
         return;
     }
-    if (nic_registration_ && nic_registration_.get() == raw) {
-        nic_registration_->close();
-        nic_registration_.reset();
-        release_conn(raw);
+    if (nic_registration_.get() == raw) {
+        drop_link(nic_registration_);
         if (role_ == Role::kSlave && skv_nic_ep_ != net::kInvalidEndpoint) {
             slaveof_skv(skv_nic_ep_, skv_nic_port_);
         }
         return;
     }
-    if (chain_succ_link_ && chain_succ_link_.get() == raw) {
-        chain_succ_link_->close();
-        chain_succ_link_.reset();
-        release_conn(raw);
+    if (chain_succ_link_.get() == raw) {
+        drop_link(chain_succ_link_);
         // No redial on our own: the NIC's failure detector re-splices the
         // chain and sends a fresh assignment (possibly naming someone else).
         stats_.incr("chain_links_broken");
         return;
     }
     release_conn(raw);
-}
-
-void KvServer::on_node_accept(net::ChannelPtr ch) {
-    auto conn = std::make_shared<ClientConn>();
-    conn->channel = wrap_node_link(std::move(ch));
-    conn->node_link = true;
-    clients_.push_back(conn);
-    stats_.incr("node_links_accepted");
-    install_node_handler(conn);
 }
 
 // --- client command path ----------------------------------------------------
@@ -697,11 +725,7 @@ void KvServer::serve_initial_sync(const std::string& slave_name,
         // drop its connection record, or the dead channel (which carries no
         // traffic, so the reliable layer never declares it broken) would be
         // retained until process exit.
-        if (it->channel && it->channel != direct) {
-            const net::Channel* old = it->channel.get();
-            it->channel->close();
-            release_conn(old);
-        }
+        if (it->channel != direct) drop_link(it->channel);
         it->channel = direct;
         it->ack_offset = slave_offset;
         it->valid = true;
@@ -720,11 +744,16 @@ void KvServer::serve_initial_sync(const std::string& slave_name,
         stats_.incr("sync_noop");
         return;
     }
-    if (backlog_.can_serve(slave_offset)) {
-        const std::string range = backlog_.read_from(slave_offset);
+    serve_sync(*direct, slave_offset);
+}
+
+void KvServer::serve_sync(net::Channel& ch, std::int64_t from) {
+    // A partial resync from the backlog when it still holds `from`, else a
+    // full snapshot.
+    if (backlog_.can_serve(from)) {
+        const std::string range = backlog_.read_from(from);
         self_.core->consume(costs_.copy_cost(range.size()));
-        direct->send(
-            NodeMsg{NodeMsg::Type::kBacklog, slave_offset, range}.encode());
+        ch.send(NodeMsg{NodeMsg::Type::kBacklog, from, range}.encode());
         stats_.incr("sync_partial");
         return;
     }
@@ -732,7 +761,7 @@ void KvServer::serve_initial_sync(const std::string& slave_name,
     const std::string rdb = kv::rdb::save(db_);
     // Snapshot cost: copy-on-write fork plus serialization.
     self_.core->consume(sim::microseconds(400) + costs_.copy_cost(2 * rdb.size()));
-    direct->send(
+    ch.send(
         NodeMsg{NodeMsg::Type::kFullSync, backlog_.master_offset(), rdb}.encode());
     stats_.incr("sync_full");
 }
@@ -743,29 +772,16 @@ void KvServer::connect_and_sync_slave(const std::string& slave_name,
     // to the slave and serve the initial synchronization over it. No retry
     // timer here: a lost handshake leaves the slave unsynced, it re-registers
     // after probe_silence_timeout and the NIC notifies us again.
-    auto connect_cb = [this, slave_name, offset](net::ChannelPtr ch) {
-        if (!ch || crashed_) return;
-        ch = wrap_node_link(std::move(ch));
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        serve_initial_sync(slave_name, offset, std::move(ch));
-    };
     // Slave node ports follow the same convention: cfg_.port + 1. The
     // slave's endpoint is carried in the notify body as "<name>@<ep>".
     const auto at = slave_name.find('@');
     SKV_CHECK(at != std::string::npos);
     const auto ep = static_cast<net::EndpointId>(
         std::stoul(slave_name.substr(at + 1)));
-    if (cfg_.transport == Transport::kTcp) {
-        nets_.tcp->connect(self_, ep, static_cast<std::uint16_t>(cfg_.port + 1),
-                           connect_cb);
-    } else {
-        nets_.cm->connect(self_, ep, static_cast<std::uint16_t>(cfg_.port + 1),
-                          connect_cb);
-    }
+    dial_node(ep, static_cast<std::uint16_t>(cfg_.port + 1), nullptr, nullptr,
+              [this, slave_name, offset](const net::ChannelPtr& ch) {
+                  serve_initial_sync(slave_name, offset, ch);
+              });
 }
 
 void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
@@ -790,22 +806,7 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
             auto it = std::find_if(
                 slaves_.begin(), slaves_.end(),
                 [&](const SlaveLink& s) { return s.name == msg.body; });
-            if (it == slaves_.end()) break;
-            if (backlog_.can_serve(msg.field)) {
-                const std::string range = backlog_.read_from(msg.field);
-                self_.core->consume(costs_.copy_cost(range.size()));
-                it->channel->send(
-                    NodeMsg{NodeMsg::Type::kBacklog, msg.field, range}.encode());
-                stats_.incr("sync_partial");
-            } else {
-                const std::string rdb = kv::rdb::save(db_);
-                self_.core->consume(sim::microseconds(400) +
-                                    costs_.copy_cost(2 * rdb.size()));
-                it->channel->send(NodeMsg{NodeMsg::Type::kFullSync,
-                                          backlog_.master_offset(), rdb}
-                                      .encode());
-                stats_.incr("sync_full");
-            }
+            if (it != slaves_.end()) serve_sync(*it->channel, msg.field);
             break;
         }
         case NodeMsg::Type::kAck: {
@@ -919,13 +920,7 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
                 // again — the promoted master dials the slaves itself.
                 // Releasing the links here is what lets the per-slave
                 // connection graphs die with the demotion.
-                for (auto& s : slaves_) {
-                    if (!s.channel) continue;
-                    const net::Channel* raw = s.channel.get();
-                    s.channel->close();
-                    s.channel.reset();
-                    release_conn(raw);
-                }
+                for (auto& s : slaves_) drop_link(s.channel);
                 slaves_.clear();
                 available_slaves_ = 0;
                 // Back to slave duty with stale chain knowledge: wait for a
@@ -1077,12 +1072,7 @@ void KvServer::reset_chain_state() {
     chain_is_tail_ = false;
     chain_succ_.clear();
     ++chain_dial_epoch_; // orphan any in-flight successor dial
-    if (chain_succ_link_) {
-        const net::Channel* old = chain_succ_link_.get();
-        chain_succ_link_->close();
-        chain_succ_link_.reset();
-        release_conn(old);
-    }
+    drop_link(chain_succ_link_);
     chain_fwd_pending_.clear();
     chain_fwd_pending_bytes_ = 0;
 }
@@ -1111,12 +1101,7 @@ void KvServer::handle_chain_set(const NodeMsg& msg) {
     }
     // Successor changed (or its link died): drop the old link and any
     // frames buffered for it — the NIC resyncs the new successor's gap.
-    if (chain_succ_link_) {
-        const net::Channel* old = chain_succ_link_.get();
-        chain_succ_link_->close();
-        chain_succ_link_.reset();
-        release_conn(old);
-    }
+    drop_link(chain_succ_link_);
     chain_fwd_pending_.clear();
     chain_fwd_pending_bytes_ = 0;
     chain_succ_ = msg.body;
@@ -1128,42 +1113,30 @@ void KvServer::dial_chain_successor() {
     if (at == std::string::npos) return;
     const auto ep =
         static_cast<net::EndpointId>(std::stoul(chain_succ_.substr(at + 1)));
-    const std::uint64_t epoch = ++chain_dial_epoch_;
-    auto cb = [this, epoch](net::ChannelPtr ch) {
-        if (!ch) return;
-        if (crashed_ || epoch != chain_dial_epoch_ || role_ != Role::kSlave) {
-            ch->close();
-            return;
-        }
-        ch = wrap_node_link(std::move(ch));
-        chain_succ_link_ = ch;
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        stats_.incr("chain_links_dialed");
-        // Relay frames that arrived while the dial was in flight.
-        while (!chain_fwd_pending_.empty()) {
-            auto [off, data] = std::move(chain_fwd_pending_.front());
-            chain_fwd_pending_.pop_front();
-            chain_fwd_pending_bytes_ -= data.size();
-            chain_succ_link_->send(
-                NodeMsg{NodeMsg::Type::kChainData, off, data}.encode());
-        }
-    };
     SKV_CHECK(cfg_.transport == Transport::kRdma,
               "chain replication requires the RDMA transport");
-    nets_.cm->connect(self_, ep, static_cast<std::uint16_t>(cfg_.port + 1), cb);
-    sim_.after(cfg_.connect_retry, [this, epoch]() {
-        if (crashed_ || epoch != chain_dial_epoch_ || chain_is_tail_ ||
-            !chain_member_) {
-            return;
-        }
-        if (chain_succ_link_ && chain_succ_link_->open()) return;
-        stats_.incr("connect_retries");
-        dial_chain_successor();
-    });
+    // A promotion leaves the chain (reset_chain_state), which supersedes a
+    // dial still in flight.
+    dial_node(
+        ep, static_cast<std::uint16_t>(cfg_.port + 1), &chain_dial_epoch_,
+        &chain_succ_link_,
+        [this](const net::ChannelPtr& ch) {
+            stats_.incr("chain_links_dialed");
+            // Relay frames that arrived while the dial was in flight.
+            while (!chain_fwd_pending_.empty()) {
+                auto [off, data] = std::move(chain_fwd_pending_.front());
+                chain_fwd_pending_.pop_front();
+                chain_fwd_pending_bytes_ -= data.size();
+                ch->send(NodeMsg{NodeMsg::Type::kChainData, off, data}.encode());
+            }
+        },
+        [this]() {
+            // A tail needs no successor; a node off the chain waits for a
+            // fresh assignment.
+            if (chain_is_tail_ || !chain_member_) return false;
+            dial_chain_successor();
+            return true;
+        });
 }
 
 void KvServer::chain_forward_frame(std::int64_t offset,
@@ -1238,78 +1211,46 @@ void KvServer::slaveof_baseline(net::EndpointId master_ep,
     role_ = Role::kSlave;
     baseline_master_ep_ = master_ep;
     baseline_master_port_ = node_port;
-    const std::uint64_t attempt = ++baseline_connect_attempt_;
-    if (master_link_) {
-        // Re-pointing at a (new) master: the old link and its retained
-        // connection object are dead weight from here on. Release them.
-        const net::Channel* old = master_link_.get();
-        master_link_.reset();
-        release_conn(old);
-    }
-    auto cb = [this, attempt](net::ChannelPtr ch) {
-        if (!ch || crashed_ || attempt != baseline_connect_attempt_) return;
-        ch = wrap_node_link(std::move(ch));
-        master_link_ = ch;
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        ch->send(NodeMsg{NodeMsg::Type::kSync, applied_offset_, cfg_.name}.encode());
-    };
-    if (cfg_.transport == Transport::kTcp) {
-        nets_.tcp->connect(self_, master_ep, node_port, cb);
-    } else {
-        nets_.cm->connect(self_, master_ep, node_port, cb);
-    }
-    // The connection handshake itself rides unprotected fabric messages:
-    // if it falls into a loss hole, dial again.
-    sim_.after(cfg_.connect_retry, [this, attempt]() {
-        if (crashed_ || attempt != baseline_connect_attempt_) return;
-        if (master_link_ && master_link_->open()) return;
-        stats_.incr("connect_retries");
-        slaveof_baseline(baseline_master_ep_, baseline_master_port_);
-    });
+    // Re-pointing at a (new) master: the old link and its retained
+    // connection object are dead weight from here on. Release them.
+    drop_link(master_link_);
+    dial_node(
+        master_ep, node_port, &baseline_connect_attempt_, &master_link_,
+        [this](const net::ChannelPtr& ch) {
+            ch->send(NodeMsg{NodeMsg::Type::kSync, applied_offset_, cfg_.name}
+                         .encode());
+        },
+        [this]() {
+            slaveof_baseline(baseline_master_ep_, baseline_master_port_);
+            return true;
+        });
 }
 
 void KvServer::slaveof_skv(net::EndpointId nic_ep, std::uint16_t nic_port) {
     role_ = Role::kSlave;
     skv_nic_ep_ = nic_ep;
     skv_nic_port_ = nic_port;
-    const std::uint64_t attempt = ++skv_connect_attempt_;
     // A crashed-and-recovered node may still hold an open-looking channel
     // whose peer has moved on; registration always starts fresh and the
     // superseded link is released.
-    if (nic_registration_) {
-        const net::Channel* old = nic_registration_.get();
-        nic_registration_.reset();
-        release_conn(old);
-    }
+    drop_link(nic_registration_);
     last_reregister_ns_ = sim_.now().ns();
+    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
     // Paper Fig. 8 step 1: the request carries the slave's replication ID,
     // offset, and identity. The "<name>@<endpoint>" body lets the master
     // dial back for step 3.
-    auto cb = [this, attempt](net::ChannelPtr ch) {
-        if (!ch || crashed_ || attempt != skv_connect_attempt_) return;
-        ch = wrap_node_link(std::move(ch));
-        nic_registration_ = ch;
-        last_probe_ns_ = sim_.now().ns();
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
-        ch->send(NodeMsg{NodeMsg::Type::kInitSync, applied_offset_, ident}.encode());
-    };
-    SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
-    nets_.cm->connect(self_, nic_ep, nic_port, cb);
-    sim_.after(cfg_.connect_retry, [this, attempt]() {
-        if (crashed_ || attempt != skv_connect_attempt_) return;
-        if (nic_registration_ && nic_registration_->open()) return;
-        stats_.incr("connect_retries");
-        slaveof_skv(skv_nic_ep_, skv_nic_port_);
-    });
+    dial_node(
+        nic_ep, nic_port, &skv_connect_attempt_, &nic_registration_,
+        [this](const net::ChannelPtr& ch) {
+            last_probe_ns_ = sim_.now().ns();
+            const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
+            ch->send(NodeMsg{NodeMsg::Type::kInitSync, applied_offset_, ident}
+                         .encode());
+        },
+        [this]() {
+            slaveof_skv(skv_nic_ep_, skv_nic_port_);
+            return true;
+        });
 }
 
 void KvServer::attach_nic(net::EndpointId nic_ep, std::uint16_t nic_port) {
@@ -1317,38 +1258,24 @@ void KvServer::attach_nic(net::EndpointId nic_ep, std::uint16_t nic_port) {
     skv_nic_ep_ = nic_ep;
     skv_nic_port_ = nic_port;
     SKV_CHECK(cfg_.offload_replication);
-    const std::uint64_t attempt = ++skv_connect_attempt_;
-    if (nic_link_) {
-        const net::Channel* old = nic_link_.get();
-        nic_link_.reset();
-        release_conn(old);
-    }
+    drop_link(nic_link_);
     nic_attached_ = false;
-    auto cb = [this, attempt](net::ChannelPtr ch) {
-        if (!ch || crashed_ || attempt != skv_connect_attempt_) return;
-        ch = wrap_node_link(std::move(ch));
-        nic_link_ = ch;
-        nic_attached_ = true;
-        last_probe_ns_ = sim_.now().ns();
-        auto conn = std::make_shared<ClientConn>();
-        conn->channel = ch;
-        conn->node_link = true;
-        clients_.push_back(conn);
-        install_node_handler(conn);
-        // Identify ourselves to the NIC as the master.
-        const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
-        ch->send(NodeMsg{NodeMsg::Type::kSync, backlog_.master_offset(),
-                         "master:" + ident}
-                     .encode());
-    };
     SKV_CHECK(cfg_.transport == Transport::kRdma, "SKV mode requires the RDMA transport");
-    nets_.cm->connect(self_, nic_ep, nic_port, cb);
-    sim_.after(cfg_.connect_retry, [this, attempt]() {
-        if (crashed_ || attempt != skv_connect_attempt_) return;
-        if (nic_link_ && nic_link_->open()) return;
-        stats_.incr("connect_retries");
-        attach_nic(skv_nic_ep_, skv_nic_port_);
-    });
+    dial_node(
+        nic_ep, nic_port, &skv_connect_attempt_, &nic_link_,
+        [this](const net::ChannelPtr& ch) {
+            nic_attached_ = true;
+            last_probe_ns_ = sim_.now().ns();
+            // Identify ourselves to the NIC as the master.
+            const std::string ident = cfg_.name + "@" + std::to_string(self_.ep);
+            ch->send(NodeMsg{NodeMsg::Type::kSync, backlog_.master_offset(),
+                             "master:" + ident}
+                         .encode());
+        },
+        [this]() {
+            attach_nic(skv_nic_ep_, skv_nic_port_);
+            return true;
+        });
 }
 
 // --- slave link for acks (SKV slaves ack over the master's direct channel) -----

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -148,20 +149,35 @@ private:
         bool valid = true;
     };
 
-    // -- listening / connections
+    // -- listening / connections (DESIGN.md "Ownership model": every node
+    //    link is adopted by adopt_node_link and released by drop_link)
+
+    /// Runs once a dialed node link is adopted.
+    using NodeLinkUp = std::function<void(const net::ChannelPtr& link)>;
+    /// Starts a lost dial over; false when the link is no longer wanted.
+    using NodeRedial = std::function<bool()>;
+
     void listen_all();
     void on_client_accept(net::ChannelPtr ch);
-    void on_node_accept(net::ChannelPtr ch);
-    /// Wrap a node link in the retransmitting layer (when configured) and
-    /// install the broken-link reaction.
-    net::ChannelPtr wrap_node_link(net::ChannelPtr ch);
+    /// Take ownership of a node link: wrap it in the retransmitting layer
+    /// (when configured; on_node_link_broken reacts to a broken link),
+    /// retain a node ClientConn for it and install the NodeMsg handler,
+    /// which captures the record weakly (the record owns the channel that
+    /// stores the handler). Returns the (possibly wrapped) link.
+    net::ChannelPtr adopt_node_link(net::ChannelPtr ch);
+    /// Dial `ep:port` over the configured transport, adopt the link, store
+    /// it in `*link` (when given) and run `on_up`. Each dial bumps
+    /// `*attempt` (when given): the result of an older dial is superseded
+    /// and closed. A result arriving after crash() is dropped unclosed, like
+    /// every link of the dead process. With `redial`, the dial starts over
+    /// after connect_retry unless `*link` is up by then.
+    void dial_node(net::EndpointId ep, std::uint16_t port,
+                   std::uint64_t* attempt, net::ChannelPtr* link,
+                   NodeLinkUp on_up, NodeRedial redial = nullptr);
+    /// Close `link`, reset it and drop its connection record (no-op when
+    /// empty).
+    void drop_link(net::ChannelPtr& link);
     void on_node_link_broken(const net::Channel* raw);
-    /// Install the NodeMsg receive handler on `conn`'s channel. The handler
-    /// captures the connection weakly: it is stored inside the channel,
-    /// which the connection owns, so an owning capture would be a
-    /// reference cycle and the link would never be reclaimed (see
-    /// DESIGN.md "Ownership model").
-    void install_node_handler(const ClientPtr& conn);
     /// Close and drop the retained ClientConn owning `raw` (if any).
     void release_conn(const net::Channel* raw);
 
@@ -206,6 +222,9 @@ private:
     void handle_node_msg(const ClientPtr& conn, const NodeMsg& msg);
     void serve_initial_sync(const std::string& slave_name,
                             std::int64_t slave_offset, net::ChannelPtr direct);
+    /// Serve a slave the stream from `from`: the backlog range when the
+    /// backlog still holds it, else a full RDB snapshot.
+    void serve_sync(net::Channel& ch, std::int64_t from);
     void connect_and_sync_slave(const std::string& slave_name,
                                 std::int64_t offset);
 

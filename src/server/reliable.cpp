@@ -59,11 +59,13 @@ std::uint32_t ReliableChannel::crc32(std::string_view bytes) {
 std::shared_ptr<ReliableChannel> ReliableChannel::wrap(sim::Simulation& sim,
                                                        net::ChannelPtr inner,
                                                        ReliableParams params,
-                                                       obs::Registry* reg) {
+                                                       obs::Registry* reg,
+                                                       BrokenHandler on_broken) {
     SKV_CHECK(inner);
     auto ch = std::shared_ptr<ReliableChannel>(
         new ReliableChannel(sim, std::move(inner), params));
     ch->rto_ = params.initial_rto;
+    ch->on_broken_ = std::move(on_broken);
     if (reg != nullptr) {
         ch->c_retransmits_ = reg->counter_handle("rel.retransmits");
         ch->c_dups_ = reg->counter_handle("rel.dups_suppressed");
@@ -114,7 +116,7 @@ void ReliableChannel::on_rto(std::uint64_t epoch) {
     Unacked& oldest = unacked_.front();
     if (oldest.retries >= params_.max_retries) {
         broken_ = true;
-        if (on_broken_) on_broken_();
+        if (on_broken_) on_broken_(this);
         return;
     }
     ++oldest.retries;
@@ -199,14 +201,6 @@ void ReliableChannel::handle_data(std::uint64_t seq, std::string payload) {
     schedule_ack(/*immediate=*/true);
 }
 
-void ReliableChannel::deliver(std::string payload) {
-    if (on_message_) {
-        on_message_(std::move(payload));
-    } else {
-        pending_.push_back(std::move(payload));
-    }
-}
-
 void ReliableChannel::send_ack_now() {
     if (closed_ || !inner_->open()) return;
     std::string wire;
@@ -234,15 +228,6 @@ void ReliableChannel::schedule_ack(bool immediate) {
         self->ack_scheduled_ = false;
         self->send_ack_now();
     });
-}
-
-void ReliableChannel::set_on_message(MessageHandler handler) {
-    on_message_ = std::move(handler);
-    while (on_message_ && !pending_.empty()) {
-        auto payload = std::move(pending_.front());
-        pending_.pop_front();
-        on_message_(std::move(payload));
-    }
 }
 
 void ReliableChannel::close() {

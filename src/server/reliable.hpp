@@ -48,6 +48,10 @@ class ReliableChannel final
     : public net::Channel,
       public std::enable_shared_from_this<ReliableChannel> {
 public:
+    /// Fires once, when max_retries is exhausted on some message; receives
+    /// the broken wrapper (owners key their link tables by it).
+    using BrokenHandler = std::function<void(const net::Channel* broken)>;
+
     /// Wrap `inner`; the wrapper installs its own inner receive handler
     /// immediately (shared_from_this forbids doing this in a constructor).
     /// When `reg` is given, the owner's aggregate rel.* counters
@@ -56,11 +60,11 @@ public:
     static std::shared_ptr<ReliableChannel> wrap(sim::Simulation& sim,
                                                  net::ChannelPtr inner,
                                                  ReliableParams params = {},
-                                                 obs::Registry* reg = nullptr);
+                                                 obs::Registry* reg = nullptr,
+                                                 BrokenHandler on_broken = {});
 
     // --- net::Channel ----------------------------------------------------
     void send(std::string payload) override;
-    void set_on_message(MessageHandler handler) override;
     void close() override;
     [[nodiscard]] bool open() const override {
         return !broken_ && inner_->open();
@@ -75,8 +79,6 @@ public:
         return inner_->flow_id();
     }
 
-    /// Fires once, when max_retries is exhausted on some message.
-    void set_on_broken(std::function<void()> fn) { on_broken_ = std::move(fn); }
     [[nodiscard]] bool broken() const { return broken_; }
     [[nodiscard]] const net::ChannelPtr& inner() const { return inner_; }
 
@@ -96,7 +98,6 @@ private:
 
     void on_inner_message(std::string payload);
     void handle_data(std::uint64_t seq, std::string payload);
-    void deliver(std::string payload);
     void send_ack_now();
     void schedule_ack(bool immediate);
     void arm_rto();
@@ -124,9 +125,7 @@ private:
     bool ack_scheduled_ = false;
     std::uint64_t ack_epoch_ = 0;
 
-    MessageHandler on_message_;
-    std::deque<std::string> pending_; // delivered before a handler existed
-    std::function<void()> on_broken_;
+    BrokenHandler on_broken_;
     bool broken_ = false;
     bool closed_ = false;
 

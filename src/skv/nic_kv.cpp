@@ -60,11 +60,9 @@ void NicKv::recover() {
 
 void NicKv::on_accept(net::ChannelPtr ch) {
     if (cfg_.reliable_node_links) {
-        auto rel = server::ReliableChannel::wrap(sim_, std::move(ch),
-                                                 cfg_.reliable, &stats_);
-        const net::Channel* rel_raw = rel.get();
-        rel->set_on_broken([this, rel_raw]() { on_link_broken(rel_raw); });
-        ch = rel;
+        ch = server::ReliableChannel::wrap(
+            sim_, std::move(ch), cfg_.reliable, &stats_,
+            [this](const net::Channel* broken) { on_link_broken(broken); });
     }
     auto raw = ch.get();
     ch->set_on_message([this, raw](std::string payload) {
@@ -111,6 +109,46 @@ NicKv::NodeEntry* NicKv::find_by_name(const std::string& name) {
         if (n.name == name) return &n;
     }
     return nullptr;
+}
+
+NicKv::Prior NicKv::upsert_node(NodeEntry e) {
+    if (NodeEntry* existing = find_by_name(e.name)) {
+        const Prior prior = existing->valid ? Prior::kValid : Prior::kInvalid;
+        // The refreshed registration supersedes the old channel; close it
+        // so the dead connection's object graph (ring, QP) is released, not
+        // merely unreferenced.
+        if (existing->channel && existing->channel != e.channel) {
+            existing->channel->close();
+        }
+        *existing = std::move(e);
+        return prior;
+    }
+    if (!nic_.reserve_memory(cfg_.node_entry_bytes)) {
+        stats_.incr("oom_rejects");
+        return Prior::kRejected;
+    }
+    nodes_.push_back(std::move(e));
+    return Prior::kNew;
+}
+
+bool NicKv::live_slave(const NodeEntry& e) {
+    return !e.is_master && e.valid && e.channel && e.channel->open();
+}
+
+net::Channel* NicKv::open_master_link() {
+    if (master_idx_ < 0) return nullptr;
+    const auto& master = nodes_[static_cast<std::size_t>(master_idx_)];
+    if (!master.channel || !master.channel->open()) return nullptr;
+    return master.channel.get();
+}
+
+void NicKv::demote_stand_in() {
+    if (promoted_idx_ < 0) return;
+    auto& stand_in = nodes_[static_cast<std::size_t>(promoted_idx_)];
+    if (stand_in.channel && stand_in.channel->open()) {
+        stand_in.channel->send(NodeMsg{NodeMsg::Type::kDemote, 0, ""}.encode());
+    }
+    promoted_idx_ = -1;
 }
 
 std::size_t NicKv::slave_count() const {
@@ -222,40 +260,18 @@ void NicKv::register_master(const net::ChannelPtr& ch, const NodeMsg& msg) {
     e.repl_offset = msg.field;
     fanout_offset_ = msg.field;
 
-    bool was_invalid = false;
-    if (NodeEntry* existing = find_by_name(e.name)) {
-        was_invalid = !existing->valid;
-        // The refreshed registration supersedes the old channel; close it
-        // so the dead connection's object graph is released, not merely
-        // unreferenced.
-        if (existing->channel && existing->channel != e.channel) {
-            existing->channel->close();
-        }
-        *existing = std::move(e);
-    } else {
-        if (!nic_.reserve_memory(cfg_.node_entry_bytes)) {
-            stats_.incr("oom_rejects");
-            return;
-        }
-        nodes_.push_back(std::move(e));
-    }
+    const Prior prior = upsert_node(std::move(e));
+    if (prior == Prior::kRejected) return;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         if (nodes_[i].is_master) master_idx_ = static_cast<int>(i);
     }
     std::erase(pending_, ch);
     stats_.incr("master_registered");
-    if (was_invalid) {
+    if (prior == Prior::kInvalid) {
         // The crashed master is back (paper §III-D): it resumes mastership
         // and the stand-in steps down.
         stats_.incr("recoveries_detected");
-        if (promoted_idx_ >= 0) {
-            auto& stand_in = nodes_[static_cast<std::size_t>(promoted_idx_)];
-            if (stand_in.channel && stand_in.channel->open()) {
-                stand_in.channel->send(
-                    NodeMsg{NodeMsg::Type::kDemote, 0, ""}.encode());
-            }
-            promoted_idx_ = -1;
-        }
+        demote_stand_in();
         publish_slave_status();
     }
     if (cfg_.replication_mode == server::ReplicationMode::kQuorum &&
@@ -283,34 +299,19 @@ void NicKv::register_slave(const net::ChannelPtr& ch, const NodeMsg& msg) {
     e.repl_offset = msg.field;
     e.quorum_ack = msg.field; // registration offset = data it already holds
 
-    bool was_known = false;
-    if (NodeEntry* existing = find_by_name(e.name)) {
-        // Reconnection after a crash: refresh the channel and revalidate.
-        // The superseded channel is closed, releasing its ring/QP state.
-        if (existing->channel && existing->channel != e.channel) {
-            existing->channel->close();
-        }
-        *existing = std::move(e);
-        was_known = true;
-    } else {
-        if (!nic_.reserve_memory(cfg_.node_entry_bytes)) {
-            stats_.incr("oom_rejects");
-            return;
-        }
-        nodes_.push_back(std::move(e));
-    }
+    // A known name is a reconnection after a crash: the entry is refreshed
+    // and revalidated.
+    const Prior prior = upsert_node(std::move(e));
+    if (prior == Prior::kRejected) return;
     std::erase(pending_, ch);
     assign_cores();
-    stats_.incr(was_known ? "slave_reregistered" : "slave_registered");
+    stats_.incr(prior == Prior::kNew ? "slave_registered" : "slave_reregistered");
 
     // Paper Fig. 8 step 2: notify the master that a slave wants to sync.
-    if (master_idx_ >= 0) {
-        auto& master = nodes_[static_cast<std::size_t>(master_idx_)];
-        if (master.channel && master.channel->open()) {
-            nic_.core(0).consume(costs_.event_dispatch);
-            master.channel->send(
-                NodeMsg{NodeMsg::Type::kSyncNotify, msg.field, msg.body}.encode());
-        }
+    if (net::Channel* master = open_master_link()) {
+        nic_.core(0).consume(costs_.event_dispatch);
+        master->send(
+            NodeMsg{NodeMsg::Type::kSyncNotify, msg.field, msg.body}.encode());
     }
     publish_slave_status();
     // A slave (re)joining a masterless cluster: the earlier invalidation
@@ -332,9 +333,7 @@ void NicKv::fan_out(const NodeMsg& msg) {
     } else {
         const std::string wire = msg.encode();
         for (auto& e : nodes_) {
-            if (e.is_master || !e.valid || !e.channel || !e.channel->open()) {
-                continue;
-            }
+            if (!live_slave(e)) continue;
             // Copy into this slave's send buffer on its assigned ARM core,
             // then one WRITE_WITH_IMM per slave (paper Fig. 9 step 2).
             cpu::Core& core = nic_.core(e.core_idx);
@@ -358,9 +357,7 @@ void NicKv::chain_forward(const NodeMsg& msg) {
     // valid member); members relay the frame downstream themselves, so the
     // NIC pays one hop regardless of chain length.
     for (auto& e : nodes_) {
-        if (e.is_master || !e.valid || !e.channel || !e.channel->open()) {
-            continue;
-        }
+        if (!live_slave(e)) continue;
         cpu::Core& core = nic_.core(e.core_idx);
         core.consume(costs_.jittered(rng_, costs_.nic_repl_fanout_per_slave) +
                      costs_.copy_cost(msg.body.size()));
@@ -379,18 +376,15 @@ void NicKv::chain_forward(const NodeMsg& msg) {
 std::vector<std::string> NicKv::chain_order() const {
     std::vector<std::string> out;
     for (const auto& e : nodes_) {
-        if (!e.is_master && e.valid && e.channel && e.channel->open()) {
-            out.push_back(e.name);
-        }
+        if (live_slave(e)) out.push_back(e.name);
     }
     return out;
 }
 
 void NicKv::request_resync(const NodeEntry& e) {
-    if (master_idx_ < 0) return;
-    auto& master = nodes_[static_cast<std::size_t>(master_idx_)];
-    if (!master.channel || !master.channel->open()) return;
-    master.channel->send(
+    net::Channel* master = open_master_link();
+    if (master == nullptr) return;
+    master->send(
         NodeMsg{NodeMsg::Type::kResyncRequest, e.repl_offset, e.name}.encode());
     stats_.incr("resyncs_requested");
 }
@@ -407,9 +401,7 @@ void NicKv::reconfigure_chain() {
     // answering reads that miss the stand-in's writes.
     std::vector<NodeEntry*> chain;
     for (auto& e : nodes_) {
-        if (!e.is_master && e.valid && e.channel && e.channel->open()) {
-            chain.push_back(&e);
-        }
+        if (live_slave(e)) chain.push_back(&e);
     }
     const bool feeding = master_valid();
     for (std::size_t i = 0; i < chain.size(); ++i) {
@@ -477,11 +469,10 @@ void NicKv::recompute_quorum_watermark() {
     }
     if (mark <= quorum_watermark_) return;
     quorum_watermark_ = mark;
-    if (master_idx_ < 0) return;
-    auto& master = nodes_[static_cast<std::size_t>(master_idx_)];
-    if (!master.channel || !master.channel->open()) return;
+    net::Channel* master = open_master_link();
+    if (master == nullptr) return;
     nic_.core(0).consume(costs_.event_dispatch);
-    master.channel->send(
+    master->send(
         NodeMsg{NodeMsg::Type::kQuorumCommit, quorum_watermark_, ""}.encode());
     stats_.incr("quorum_commits");
 }
@@ -500,10 +491,7 @@ void NicKv::handle_read_repair(const NodeMsg& msg) {
     const std::string wire =
         NodeMsg{NodeMsg::Type::kReplData, msg.field, msg.body}.encode();
     for (auto& e : nodes_) {
-        if (e.is_master || !e.valid || !e.channel || !e.channel->open()) {
-            continue;
-        }
-        if (e.quorum_ack >= end) continue;
+        if (!live_slave(e) || e.quorum_ack >= end) continue;
         cpu::Core& core = nic_.core(e.core_idx);
         core.consume(costs_.jittered(rng_, costs_.nic_repl_fanout_per_slave) +
                      costs_.copy_cost(msg.body.size()));
@@ -536,14 +524,7 @@ void NicKv::handle_probe_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
         if (e->is_master) {
             // Paper §III-D: the recovered master resumes mastership and the
             // stand-in is demoted.
-            if (promoted_idx_ >= 0) {
-                auto& stand_in = nodes_[static_cast<std::size_t>(promoted_idx_)];
-                if (stand_in.channel && stand_in.channel->open()) {
-                    stand_in.channel->send(
-                        NodeMsg{NodeMsg::Type::kDemote, 0, ""}.encode());
-                }
-                promoted_idx_ = -1;
-            }
+            demote_stand_in();
         } else if (e->repl_offset < fanout_offset_) {
             request_resync(*e);
         }
@@ -672,9 +653,8 @@ void NicKv::after_invalidation() {
 }
 
 void NicKv::publish_slave_status() {
-    if (master_idx_ < 0) return;
-    auto& master = nodes_[static_cast<std::size_t>(master_idx_)];
-    if (!master.channel || !master.channel->open()) return;
+    net::Channel* master = open_master_link();
+    if (master == nullptr) return;
     std::string invalid;
     for (const auto& e : nodes_) {
         if (!e.is_master && !e.valid) {
@@ -683,7 +663,7 @@ void NicKv::publish_slave_status() {
         }
     }
     nic_.core(0).consume(costs_.event_dispatch);
-    master.channel->send(
+    master->send(
         NodeMsg{NodeMsg::Type::kSlaveCount, valid_slaves(), invalid}.encode());
 }
 

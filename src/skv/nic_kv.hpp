@@ -163,6 +163,20 @@ private:
     [[nodiscard]] NodeEntry* find_by_channel(const net::ChannelPtr& ch);
     [[nodiscard]] NodeEntry* find_by_name(const std::string& name);
 
+    /// What a registration found under its node name.
+    enum class Prior : std::uint8_t { kRejected, kNew, kValid, kInvalid };
+    /// Registration: refresh the entry of `e.name` (closing the channel the
+    /// new one supersedes) or append `e` if on-board memory has room for it
+    /// (kRejected when not).
+    [[nodiscard]] Prior upsert_node(NodeEntry e);
+    /// A slave the NIC currently replicates to: valid, with an open link.
+    [[nodiscard]] static bool live_slave(const NodeEntry& e);
+    /// The registered master's link if it is open, else nullptr.
+    [[nodiscard]] net::Channel* open_master_link();
+    /// The recovered master resumes mastership: tell the promoted stand-in
+    /// (if any) to step down.
+    void demote_stand_in();
+
     sim::Simulation& sim_;
     const cpu::CostModel& costs_;
     rdma::ConnectionManager& cm_;

@@ -128,6 +128,66 @@ TEST(LifetimeTest, RepeatedSlaveofDoesNotAccumulateChannels) {
     EXPECT_TRUE(c.converged());
 }
 
+// A re-dial issued while the previous dial is still in flight supersedes
+// it. The superseded result must be closed, not just dropped: otherwise the
+// peer keeps the accepted link (and, on a Host-KV peer, its connection
+// record) for the rest of the run.
+struct RedialCase {
+    const char* name;
+    bool offload;
+    void (*redial)(Cluster& c);
+};
+
+void PrintTo(const RedialCase& rc, std::ostream* os) { *os << rc.name; }
+
+class SupersededDialTest : public ::testing::TestWithParam<RedialCase> {};
+
+TEST_P(SupersededDialTest, SupersededDialIsReleased) {
+    const RedialCase& rc = GetParam();
+    Cluster c(base_config(server::Transport::kRdma, rc.offload, 1));
+    c.start();
+    ASSERT_TRUE(c.converged());
+
+    rc.redial(c);
+    settle(c, sim::seconds(2));
+    const long channels_after_first = net::Channel::live_count();
+    const std::size_t conns_after_first = c.master().client_conns();
+
+    for (int i = 0; i < 5; ++i) {
+        rc.redial(c); // superseded by the next call before it completes
+        rc.redial(c);
+        settle(c, sim::seconds(2));
+    }
+
+    EXPECT_LE(net::Channel::live_count(), channels_after_first + 2);
+    EXPECT_LE(c.master().client_conns(), conns_after_first + 1);
+    EXPECT_TRUE(c.converged());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LifetimeTest, SupersededDialTest,
+    ::testing::Values(
+        RedialCase{"slaveof_baseline", false,
+                   [](Cluster& c) {
+                       c.slave(0).slaveof_baseline(
+                           c.master().node().ep,
+                           static_cast<std::uint16_t>(
+                               c.master().config().port + 1));
+                   }},
+        RedialCase{"slaveof_skv", true,
+                   [](Cluster& c) {
+                       c.slave(0).slaveof_skv(c.nic_kv()->endpoint(),
+                                              c.nic_kv()->config().port);
+                   }},
+        RedialCase{"attach_nic", true,
+                   [](Cluster& c) {
+                       c.master().attach_nic(c.nic_kv()->endpoint(),
+                                             c.nic_kv()->config().port);
+                   }}),
+    [](const ::testing::TestParamInfo<RedialCase>& info) {
+        return std::string(info.param.name);
+    });
+
 // A rejected connection attempt (nobody listening on the port) must tear
 // down the initiator's pre-allocated ring: CQs, QP-less channel, and the
 // receive MR that was registered for the handshake.

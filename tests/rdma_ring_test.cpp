@@ -51,6 +51,24 @@ TEST_F(RingTest, ConnectRejectedWithoutListener) {
     EXPECT_EQ(ch, nullptr);
 }
 
+// An initiator that closes its channel as soon as the connection completes
+// (a superseded dial) abandons it before the RTU lands: the listener is
+// never handed the dead link and both rings are released.
+TEST_F(RingTest, AbandonedConnectIsNotAccepted) {
+    const long channels_before = net::Channel::live_count();
+    const long mrs_before = MemoryRegion::live_count();
+    bool accepted = false;
+    cm.listen({ep_b, &core_b}, 7000, [&](RingChannelPtr) { accepted = true; });
+    cm.connect({ep_a, &core_a}, ep_b, 7000, [&](RingChannelPtr ch) {
+        ASSERT_TRUE(ch);
+        ch->close();
+    });
+    sim.run();
+    EXPECT_FALSE(accepted);
+    EXPECT_EQ(net::Channel::live_count(), channels_before);
+    EXPECT_EQ(MemoryRegion::live_count(), mrs_before);
+}
+
 TEST_F(RingTest, RoundTripMessages) {
     connect();
     std::string at_server;

@@ -14,18 +14,12 @@ Commands:
   record   Append the bench output as a new run of its profile.
            The working-tree commit is stamped for provenance.
   check    Diff the bench output against the *latest recorded run of the
-           same profile*. A regression — a gated metric worse by more than
-           the tolerance on any matched series — prints the offending
-           metric deltas and exits 1.
-
-Gated metrics (per series):
-  achieved_kops     lower is a regression
-  p99_us / p999_us  of the "all" point: higher is a regression
-  failed+timed_out  any increase is a regression (no tolerance)
-
-Series present only on one side are reported but do not fail the gate
-(sweep membership is allowed to evolve); use --require-same-series to make
-that fatal too.
+           same profile*, field for field. The simulator is deterministic,
+           so an unchanged model reproduces the recorded series exactly:
+           any differing field — a throughput, a percentile, an error
+           count, a config scalar — fails, and so does a series present on
+           only one side. Each difference is printed with both values and
+           the exit code is 1. An intended behaviour change re-records.
 """
 
 import argparse
@@ -98,35 +92,31 @@ def cmd_record(args):
     return 0
 
 
-def all_point(series):
-    for p in series.get("points", []):
-        if p.get("op", "all") == "all":
-            return p
-    return {}
+ABSENT = "<absent>"
 
 
-def check_series(base, cur, tol, failures):
-    """Append '(series, metric, base, cur, delta%)' rows for regressions."""
-    name = cur["name"]
+def point_label(i, item):
+    """`points[op=all]` for op-keyed points, else the list index."""
+    if isinstance(item, dict) and "op" in item:
+        return "[op=%s]" % item["op"]
+    return "[%d]" % i
 
-    def rel(b, c):
-        return (c - b) / b if b else 0.0
 
-    b_kops, c_kops = base.get("achieved_kops"), cur.get("achieved_kops")
-    if b_kops and c_kops is not None and rel(b_kops, c_kops) < -tol:
-        failures.append((name, "achieved_kops", b_kops, c_kops,
-                         100.0 * rel(b_kops, c_kops)))
-
-    bp, cp = all_point(base), all_point(cur)
-    for metric in ("p99_us", "p999_us"):
-        b, c = bp.get(metric), cp.get(metric)
-        if b and c is not None and rel(b, c) > tol:
-            failures.append((name, metric, b, c, 100.0 * rel(b, c)))
-
-    b_err = base.get("failed", 0) + base.get("timed_out", 0)
-    c_err = cur.get("failed", 0) + cur.get("timed_out", 0)
-    if c_err > b_err:
-        failures.append((name, "errors", b_err, c_err, float("inf")))
+def diff_fields(base, cur, path, out):
+    """Append a (field path, baseline value, current value) row for every
+    field that differs between two JSON values."""
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for key in sorted(set(base) | set(cur)):
+            sub = "%s.%s" % (path, key) if path else key
+            diff_fields(base.get(key, ABSENT), cur.get(key, ABSENT), sub, out)
+    elif isinstance(base, list) and isinstance(cur, list):
+        for i in range(max(len(base), len(cur))):
+            b = base[i] if i < len(base) else ABSENT
+            c = cur[i] if i < len(cur) else ABSENT
+            diff_fields(b, c, path + point_label(i, c if b is ABSENT else b),
+                        out)
+    elif base != cur:
+        out.append((path, base, cur))
 
 
 def cmd_check(args):
@@ -148,35 +138,28 @@ def cmd_check(args):
 
     base_by_name = {s["name"]: s for s in baseline["series"]}
     cur_by_name = {s["name"]: s for s in doc["series"]}
-    failures = []
-    matched = 0
-    for name, cur in cur_by_name.items():
+    diffs = []
+    for name in sorted(set(base_by_name) | set(cur_by_name)):
         base = base_by_name.get(name)
-        if base is None:
-            print("bench_gate: series %r has no baseline (new?)" % name)
-            if args.require_same_series:
-                failures.append((name, "missing-baseline", 0, 0, 0.0))
+        cur = cur_by_name.get(name)
+        if base is None or cur is None:
+            diffs.append((name, "(series)",
+                          "present" if base else ABSENT,
+                          "present" if cur else ABSENT))
             continue
-        matched += 1
-        check_series(base, cur, args.tolerance, failures)
-    for name in base_by_name:
-        if name not in cur_by_name:
-            print("bench_gate: baseline series %r absent from output" % name)
-            if args.require_same_series:
-                failures.append((name, "missing-series", 0, 0, 0.0))
+        rows = []
+        diff_fields(base, cur, "", rows)
+        diffs.extend((name, field, b, c) for field, b, c in rows)
 
-    if failures:
-        print("bench_gate: FAIL — %d regression(s) vs baseline @ %s "
-              "(tolerance %.0f%%):"
-              % (len(failures), baseline.get("recorded_at_commit", "?"),
-                 100.0 * args.tolerance))
-        for name, metric, b, c, pct in failures:
-            print("  %-32s %-14s %10.3f -> %10.3f  (%+.1f%%)"
-                  % (name, metric, float(b), float(c), pct))
+    commit = baseline.get("recorded_at_commit", "?")
+    if diffs:
+        print("bench_gate: FAIL — %d field(s) differ from baseline @ %s:"
+              % (len(diffs), commit))
+        for name, field, b, c in diffs:
+            print("  %-32s %-24s %s -> %s" % (name, field, b, c))
         return 1
-    print("bench_gate: OK — %d series within %.0f%% of baseline @ %s"
-          % (matched, 100.0 * args.tolerance,
-             baseline.get("recorded_at_commit", "?")))
+    print("bench_gate: OK — %d series identical to baseline @ %s"
+          % (len(cur_by_name), commit))
     return 0
 
 
@@ -196,13 +179,8 @@ def main(argv=None):
     chk.add_argument("--bench-output", required=True,
                      help="bench stdout capture ('-' = stdin)")
     chk.add_argument("--db", required=True, help="trajectory JSON file")
-    chk.add_argument("--tolerance", type=float, default=0.10,
-                     help="allowed relative slack per gated metric "
-                          "(default 0.10 = 10%%)")
     chk.add_argument("--require-baseline", action="store_true",
                      help="fail when the db has no run for this profile")
-    chk.add_argument("--require-same-series", action="store_true",
-                     help="fail on series present only on one side")
     chk.set_defaults(func=cmd_check)
 
     args = ap.parse_args(argv)

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Self-test for bench_gate: record/check round-trip, regression detection,
-tolerance behavior, profile isolation. Run by ctest as bench_gate_selftest."""
+"""Self-test for bench_gate: record/check round-trip, exact series
+comparison, profile isolation. Run by ctest as bench_gate_selftest."""
 
 import json
 import os
@@ -74,27 +74,18 @@ def main():
           run(["check", "--bench-output", out, "--db", db,
                "--require-baseline"]) == 0)
 
-    # Within tolerance: 5% slower throughput passes at 10%.
-    write(out, bench_output("smoke", 19.0, 15.0))
-    check("5% kops drop within 10% tolerance",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
-
-    # Beyond tolerance: 20% slower throughput fails.
-    write(out, bench_output("smoke", 16.0, 15.0))
-    check("20% kops drop fails",
+    # Exact comparison: a one-digit drift in a p99 fails, and so does an
+    # improvement — the simulator is deterministic, any change is drift.
+    write(out, bench_output("smoke", 20.0, 15.001))
+    check("one-digit p99 drift fails",
+          run(["check", "--bench-output", out, "--db", db]) == 1)
+    write(out, bench_output("smoke", 20.5, 15.0))
+    check("throughput improvement fails",
           run(["check", "--bench-output", out, "--db", db]) == 1)
 
-    # p99 regression fails; improvement passes.
-    write(out, bench_output("smoke", 20.0, 18.0))
-    check("20% p99 growth fails",
-          run(["check", "--bench-output", out, "--db", db]) == 1)
-    write(out, bench_output("smoke", 22.0, 12.0))
-    check("improvement passes",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
-
-    # Any new errors fail, tolerance or not.
-    write(out, bench_output("smoke", 20.0, 15.0, failed=3))
-    check("new errors fail",
+    # An added error fails.
+    write(out, bench_output("smoke", 20.0, 15.0, failed=1))
+    check("added error fails",
           run(["check", "--bench-output", out, "--db", db]) == 1)
 
     # Profile isolation: a 'full' run has no 'smoke' baseline.
@@ -109,20 +100,25 @@ def main():
     with open(db) as f:
         trajectory = json.load(f)
     check("trajectory keeps both runs", len(trajectory["runs"]) == 2)
-    write(out, bench_output("smoke", 29.0, 10.5))
     check("gates against newest run",
           run(["check", "--bench-output", out, "--db", db]) == 0)
     write(out, bench_output("smoke", 20.0, 15.0))
     check("old-baseline numbers now fail",
           run(["check", "--bench-output", out, "--db", db]) == 1)
 
-    # Unknown series is reported but passes by default, fails when strict.
+    # A series present on only one side fails.
     write(out, bench_output("smoke", 30.0, 10.0, name="ycsb-Z/zipfian/fanout"))
-    check("new series passes by default",
-          run(["check", "--bench-output", out, "--db", db]) == 0)
-    check("new series fails with --require-same-series",
-          run(["check", "--bench-output", out, "--db", db,
-               "--require-same-series"]) == 1)
+    check("renamed series fails",
+          run(["check", "--bench-output", out, "--db", db]) == 1)
+
+    # The failure report names the field and both values.
+    write(out, bench_output("smoke", 30.0, 10.25))
+    rows = []
+    bench_gate.diff_fields(trajectory["runs"][-1]["series"][0],
+                           json.loads(open(out).read().split("JSON: ")[1])
+                           ["series"][0], "", rows)
+    check("report names points[op=all].p99_us",
+          ("points[op=all].p99_us", 10.0, 10.25) in rows)
 
     if FAILED:
         print("bench_gate selftest: FAILED")

@@ -15,9 +15,10 @@ The checker builds a whole-program ownership graph over the sources:
   edges  * member fields holding shared_ptr<T> (directly or through a
            *Ptr alias, or inside vector/deque/map/multimap containers)
          * lambda captures of shared_ptr-typed values in handlers
-           installed with set_on_message / set_on_broken / set_on_event
-           (those setters *store* the callable inside the receiver, so
-           the capture is owned by the receiver's class)
+           installed with set_on_message / set_on_broken / set_on_event,
+           or passed to ReliableChannel::wrap as its broken-link handler
+           (those calls *store* the callable inside the receiver, so the
+           capture is owned by the receiver's class)
 
 and reports every strongly-connected component as a [cycle], with the
 full edge path (file:line per edge). weak_ptr fields and captures never
@@ -43,8 +44,9 @@ Flow rules (per file, lexical):
                      `.success` (and without delegating the completion
                      to a same-file function that reads it — the check
                      is one hop deep) hides transport errors.
-  reentrant-handler  a handler lambda (set_on_message / set_on_broken)
-                     that calls Fabric::send at its top nesting level.
+  reentrant-handler  a handler lambda (set_on_message / set_on_broken /
+                     ReliableChannel::wrap) that calls Fabric::send at
+                     its top nesting level.
                      Handlers run inside a delivery; re-entering the
                      fabric synchronously reorders events that the
                      event queue would serialise. Posting through
@@ -67,6 +69,36 @@ RULES = {
     "unchecked-status": "RDMA completion consumed without reading .success; transport errors vanish",
     "reentrant-handler": "handler re-enters Fabric::send synchronously; post through the event queue instead",
 }
+
+
+# ---------------------------------------------------------------------------
+# Stored handlers
+
+HANDLER_SETTER = re.compile(
+    r"([\w\.\->\(\)_]*?)(?:->|\.)\s*(set_on_message|set_on_broken|set_on_event)\s*\(")
+# ReliableChannel::wrap stores its broken-link handler argument.
+HANDLER_WRAP = re.compile(r"\bReliableChannel\s*::\s*wrap\s*\(")
+
+
+def stored_handlers(text: str):
+    """Yield (setter, receiver expression, call offset, lambda '[' offset)
+    for every literal lambda stored as a handler."""
+    for m in HANDLER_SETTER.finditer(text):
+        call_open = m.end() - 1
+        call_close = match_paren(text, call_open)
+        if text[call_open + 1 : call_close].lstrip().startswith("["):
+            yield (m.group(2), m.group(1), m.start(),
+                   text.index("[", call_open + 1))
+    for m in HANDLER_WRAP.finditer(text):
+        call_open = m.end() - 1
+        call_close = match_paren(text, call_open)
+        off = call_open + 1
+        for arg in split_top(text[call_open + 1 : call_close], ",", "([{<"):
+            if arg.lstrip().startswith("["):
+                # The wrapper is held as a ChannelPtr: interface-level node.
+                yield ("wrap", "", m.start(),
+                       off + len(arg) - len(arg.lstrip()))
+            off += len(arg) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +287,8 @@ def collect_handler_edges(sf: SourceFile, model: Model) -> None:
                 break
         return cls
 
-    for m in re.finditer(r"([\w\.\->\(\)_]*?)(?:->|\.)\s*(set_on_message|set_on_broken|set_on_event)\s*\(", text):
-        setter = m.group(2)
-        recv_expr = m.group(1)
-        call_open = m.end() - 1
-        call_close = match_paren(text, call_open)
-        arg = text[call_open + 1 : call_close].lstrip()
-        if not arg.startswith("["):
-            continue  # not a literal lambda (nullptr, std::move(handler), ...)
-        lam_open = text.index("[", call_open + 1)
+    # Only literal lambdas are inspected (not nullptr, std::move(handler)).
+    for setter, recv_expr, call_at, lam_open in stored_handlers(text):
         lam_close = match_paren(text, lam_open)
         captures = text[lam_open + 1 : lam_close]
         body_open = text.find("{", lam_close)
@@ -271,11 +296,11 @@ def collect_handler_edges(sf: SourceFile, model: Model) -> None:
             continue
         body_close = match_paren(text, body_open)
 
-        current_class = enclosing_class(m.start())
+        current_class = enclosing_class(call_at)
         # Type knowledge from the surrounding function region: from the
         # previous blank-slate boundary (very coarse: previous 80 lines).
-        region_start = max(0, m.start() - 4000)
-        types = local_shared_types(text[region_start : m.start()],
+        region_start = max(0, call_at - 4000)
+        types = local_shared_types(text[region_start : call_at],
                                    current_class, model)
 
         # Receiver class: resolved type of the receiver expression when it is
@@ -285,7 +310,7 @@ def collect_handler_edges(sf: SourceFile, model: Model) -> None:
         src_cls = types.get(recv_base) or "Channel"
         if setter == "set_on_event" and src_cls == "Channel":
             src_cls = "CompletionChannel"
-        lineno = line_of(m.start())
+        lineno = line_of(call_at)
 
         for item in split_top(captures, ",", "([{<"):
             item = item.strip()
@@ -575,10 +600,9 @@ FABRIC_SEND = re.compile(r"\bfabric(?:\(\)|_)\s*(?:\.|->)\s*send\s*\(")
 def check_reentrant_handler(sf: SourceFile) -> list[Finding]:
     findings: list[Finding] = []
     text, line_of = sf.text, sf.line_of
-    for m in re.finditer(
-        r"(?:->|\.)\s*(?:set_on_message|set_on_broken)\s*\(\s*\[", text
-    ):
-        lam_open = text.index("[", m.start())
+    for setter, _, _, lam_open in stored_handlers(text):
+        if setter == "set_on_event":
+            continue
         lam_close = match_paren(text, lam_open)
         body_open = text.find("{", lam_close)
         if body_open < 0:

@@ -130,6 +130,10 @@ expect("cycle path names the capture edge",
 expect("cycle path carries both classes",
        "ClientConn -> Channel" in out and "Channel -> ClientConn" in out, out)
 
+out = check_bad("ownership/cycle_wrap.cpp", "cycle")
+expect("cycle through a ReliableChannel::wrap handler is found",
+       "wrap handler captures" in out and "NodeConn -> Channel" in out, out)
+
 out = check_bad("ownership/bad_use_after_move.cpp", "use-after-move")
 expect("use-after-move reports exactly the one bad function",
        count(out, "use-after-move") == 1, out)
@@ -142,8 +146,8 @@ expect("unchecked-status flags unread batch",
        "never reads .success" in out, out)
 
 out = check_bad("ownership/bad_reentrant_handler.cpp", "reentrant-handler")
-expect("reentrant-handler reports only the synchronous handler",
-       count(out, "reentrant-handler") == 1, out)
+expect("reentrant-handler reports only the synchronous handlers",
+       count(out, "reentrant-handler") == 2, out)
 
 # --- protocol pack -----------------------------------------------------------
 out = check_bad("protocol/bad_duplicate_tag.cpp", "duplicate-tag")
