@@ -87,13 +87,6 @@ struct CostModel {
     /// latency tails.
     double jitter_frac = 0.06;
 
-    // --- SmartNIC ----------------------------------------------------------
-    /// Slowdown of one BlueField-2 A72 core relative to the host Xeon for
-    /// this workload (paper §II-C / [22]: "much weaker").
-    double nic_core_slowdown = 2.5;
-    /// ARM cores available on the SmartNIC for Nic-KV.
-    int nic_cores = 8;
-
     /// Apply multiplicative jitter to a base cost.
     [[nodiscard]] sim::Duration jittered(sim::Rng& rng, sim::Duration base) const {
         if (jitter_frac <= 0.0) return base;

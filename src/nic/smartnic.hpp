@@ -22,7 +22,8 @@ enum class SteerTarget : std::uint8_t { kHost, kNicCores };
 struct SmartNicParams {
     /// ARM A72 cores available to offloaded services.
     int arm_cores = 8;
-    /// Slowdown of one ARM core relative to the host Xeon (cost scaling).
+    /// Slowdown of one ARM core relative to the host Xeon for this workload
+    /// (cost scaling; paper §II-C / [22]: "much weaker").
     double core_slowdown = 2.5;
     /// On-board DDR available to Nic-KV (16 GB on the paper's MBF2H516A).
     std::size_t dram_bytes = 16ULL * 1024 * 1024 * 1024;

@@ -14,15 +14,10 @@ enum class Transport : std::uint8_t { kTcp, kRdma };
 /// Replication role of a Host-KV instance.
 enum class Role : std::uint8_t { kStandalone, kMaster, kSlave };
 
-/// Which replication protocol the cluster runs (DESIGN.md §13, ROADMAP
-/// item 4). kFanout is the paper's asynchronous master→Nic-KV→slaves
-/// fan-out (plus PR 6's commit gating). kChain is chain replication:
-/// writes flow NIC→head→…→tail along NIC-maintained successor tables, a
-/// commit requires every valid chain member's ack (tail semantics in an
-/// in-order chain), and the tail may serve reads under a probe lease.
-/// kQuorum is ABD-flavored majority replication: the NIC aggregates slave
-/// acks and releases the commit watermark at a replica majority, with a
-/// read-phase write-back for parked linearizable reads.
+/// Which replication protocol the cluster runs (DESIGN.md §13): the paper's
+/// master→Nic-KV→slaves fan-out, chain replication, or ABD-style quorum.
+/// Each lives behind server::Replication (Host-KV) and
+/// offload::NicReplication (Nic-KV).
 enum class ReplicationMode : std::uint8_t { kFanout, kChain, kQuorum };
 
 const char* to_string(Transport t);
@@ -50,21 +45,11 @@ struct ServerConfig {
     /// Slave -> master progress report interval (paper Fig. 9 step 3).
     sim::Duration ack_interval{sim::milliseconds(100)};
 
-    /// serverCron cadence: active expiry, dict rehash steps, bookkeeping.
-    sim::Duration cron_interval{sim::milliseconds(100)};
-
-    /// Active-expire sample size per cron tick.
-    std::size_t expire_samples = 20;
-
-    /// Wrap every node-to-node link (replication, probes, registration) in
-    /// the sequence-numbered retransmitting layer so injected loss degrades
-    /// throughput instead of silently losing replicated writes.
-    bool reliable_node_links = true;
+    /// Every node-to-node link (replication, probes, registration) runs
+    /// through the sequence-numbered retransmitting layer so injected loss
+    /// degrades throughput instead of silently losing replicated writes.
+    /// Nic-KV speaks the same envelope with the same parameters.
     ReliableParams reliable{};
-
-    /// Retry interval for node-link connection handshakes (the CM exchange
-    /// itself rides unprotected fabric messages and can be lost).
-    sim::Duration connect_retry{sim::milliseconds(500)};
 
     /// An SKV slave that has heard no probe from Nic-KV for this long
     /// re-registers: a one-directional NIC->slave partition would otherwise
@@ -105,8 +90,9 @@ struct ServerConfig {
     bool serve_stale_reads = true;
 
     /// --- replication protocol menu ----------------------------------------
-    /// Which protocol Nic-KV executes for this cluster. Chain and quorum
-    /// modes require the SKV offload topology (Cluster enforces this).
+    /// Which protocol this node and Nic-KV execute (each builds its
+    /// protocol object from it once, DESIGN.md §13). Chain and quorum modes
+    /// require the SKV offload topology (Cluster enforces this).
     ReplicationMode replication_mode = ReplicationMode::kFanout;
     /// Chain mode: the tail serves reads only while it has heard a NIC
     /// probe within this window (and has applied up to its assignment-time
@@ -121,10 +107,6 @@ struct ServerConfig {
     /// meets this threshold are recorded in the SLOWLOG ring (Redis default:
     /// 10ms). Zero records everything; negative disables recording.
     sim::Duration slowlog_threshold{sim::milliseconds(10)};
-    /// Maximum retained SLOWLOG entries (oldest evicted first).
-    std::size_t slowlog_max_len = 128;
-    /// LATENCY HISTORY ring depth per event class.
-    std::size_t latency_history_len = 16;
 };
 
 } // namespace skv::server

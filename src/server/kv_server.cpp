@@ -54,13 +54,14 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
     SKV_CHECK(nets_.fabric != nullptr);
     SKV_DCHECK(cfg_.transport == Transport::kTcp ? nets_.tcp != nullptr
                                                  : nets_.cm != nullptr);
+    repl_ = make_replication(*this, cfg_.replication_mode);
 }
 
 void KvServer::start() {
     SKV_CHECK(!started_);
     started_ = true;
     listen_all();
-    sim_.after(cfg_.cron_interval, [this]() { cron(); });
+    sim_.after(kCronInterval, [this]() { cron(); });
 }
 
 void KvServer::listen_all() {
@@ -105,15 +106,12 @@ void KvServer::on_client_accept(net::ChannelPtr ch) {
     });
 }
 
-net::ChannelPtr KvServer::adopt_node_link(net::ChannelPtr ch) {
-    if (cfg_.reliable_node_links) {
-        ch = ReliableChannel::wrap(
-            sim_, std::move(ch), cfg_.reliable, &stats_,
-            [this](const net::Channel* broken) { on_node_link_broken(broken); });
-    }
+net::ChannelPtr KvServer::adopt_node_link(net::ChannelPtr inner) {
+    net::ChannelPtr ch = ReliableChannel::wrap(
+        sim_, std::move(inner), cfg_.reliable, &stats_,
+        [this](const net::Channel* broken) { on_node_link_broken(broken); });
     auto conn = std::make_shared<ClientConn>();
     conn->channel = ch;
-    conn->node_link = true;
     clients_.push_back(conn);
     std::weak_ptr<ClientConn> wconn = conn;
     ch->set_on_message([this, wconn](std::string payload) {
@@ -156,8 +154,8 @@ void KvServer::dial_node(net::EndpointId ep, std::uint16_t port,
     SKV_DCHECK(attempt != nullptr && link != nullptr);
     // The connection handshake itself rides unprotected fabric messages:
     // if it falls into a loss hole, start over.
-    sim_.after(cfg_.connect_retry, [this, attempt, mine, link,
-                                    redial = std::move(redial)]() {
+    sim_.after(kConnectRetry, [this, attempt, mine, link,
+                               redial = std::move(redial)]() {
         if (crashed_ || *attempt != mine) return;
         if (*link && (*link)->open()) return;
         if (redial()) stats_.incr("connect_retries");
@@ -221,13 +219,7 @@ void KvServer::on_node_link_broken(const net::Channel* raw) {
         }
         return;
     }
-    if (chain_succ_link_.get() == raw) {
-        drop_link(chain_succ_link_);
-        // No redial on our own: the NIC's failure detector re-splices the
-        // chain and sends a fresh assignment (possibly naming someone else).
-        stats_.incr("chain_links_broken");
-        return;
-    }
+    if (repl_->on_link_broken(raw)) return;
     release_conn(raw);
 }
 
@@ -369,21 +361,13 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
             }
         }
         if (spec != nullptr && !spec->is_write() && role_ == Role::kSlave &&
-            !cfg_.serve_stale_reads) {
-            // Chain mode: the tail's copy is the chain's committed prefix
-            // (every acked write passed through it), so the tail may answer
-            // reads while its probe lease is fresh and it has caught up to
-            // its assignment-time floor. Everyone else refuses.
-            if (chain_read_ok()) {
-                stats_.incr("chain_tail_reads");
-            } else {
-                stats_.incr("reads_rejected_stale");
-                record_command_latency(argv, /*is_write=*/false, t0);
-                if (traced) tracer_->flow_server_done(conn->channel->flow_id());
-                conn->channel->send(kv::resp::error(
-                    "READONLY Reads from replicas are disabled."));
-                return;
-            }
+            !cfg_.serve_stale_reads && !repl_->serve_replica_read()) {
+            stats_.incr("reads_rejected_stale");
+            record_command_latency(argv, /*is_write=*/false, t0);
+            if (traced) tracer_->flow_server_done(conn->channel->flow_id());
+            conn->channel->send(
+                kv::resp::error("READONLY Reads from replicas are disabled."));
+            return;
         }
         if (spec != nullptr && spec->is_write()) {
             std::string err;
@@ -417,49 +401,44 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
     });
 }
 
-// --- commit gating / duplicate suppression -----------------------------------
+// --- replication protocol: the factory and fan-out's hooks (DESIGN.md §13) ---
 
-int KvServer::commit_need() const {
-    if (cfg_.wait_for_slaves <= 0 || role_ != Role::kMaster) return 0;
+std::unique_ptr<Replication> make_replication(KvServer& server,
+                                              ReplicationMode mode) {
+    switch (mode) {
+        case ReplicationMode::kFanout: break; // the base class
+        case ReplicationMode::kChain: return std::make_unique<ChainReplication>(server);
+        case ReplicationMode::kQuorum: return std::make_unique<QuorumReplication>(server);
+    }
+    return std::make_unique<Replication>(server);
+}
+
+bool Replication::gating() const {
+    return s_.cfg_.wait_for_slaves > 0 && s_.role_ == Role::kMaster;
+}
+
+int Replication::valid_slaves() const {
     int valid = 0;
-    for (const auto& s : slaves_) {
-        if (s.valid) ++valid;
+    for (const auto& sl : s_.slaves_) {
+        if (sl.valid) ++valid;
     }
-    if (cfg_.replication_mode == ReplicationMode::kChain) {
-        // Chain commit = the tail applied it, which in an in-order chain
-        // means every live member did: require all valid links, so a tail
-        // read can never miss an acked write. The detector's member count
-        // is a floor on the requirement: a healed member the NIC already
-        // splices back in (it may become the leased tail) can be missing
-        // from slaves_ until it re-registers, and committing without its
-        // ack in that window would let the new tail serve stale reads.
-        if (cfg_.offload_replication) return std::max(valid, available_slaves_);
-        return valid;
-    }
-    return std::min(cfg_.wait_for_slaves, valid);
+    return valid;
 }
 
-int KvServer::acked_replicas(std::int64_t offset) const {
+bool Replication::acked(int need, std::int64_t offset) const {
     int n = 0;
-    for (const auto& s : slaves_) {
-        if (s.valid && s.ack_offset >= offset) ++n;
+    for (const auto& sl : s_.slaves_) {
+        if (sl.valid && sl.ack_offset >= offset) ++n;
     }
-    return n;
+    return n >= need;
 }
 
-bool KvServer::commit_satisfied(std::int64_t offset) const {
-    if (cfg_.replication_mode == ReplicationMode::kQuorum &&
-        role_ == Role::kMaster && cfg_.wait_for_slaves > 0) {
-        // Quorum commits are released by the NIC's ack aggregation, not by
-        // per-slave ack counting. A master with no registered replicas
-        // (bootstrap, or a promoted stand-in serving solo) is its own
-        // majority-of-one, matching fan-out's need==0 behavior.
-        if (slaves_.empty() && available_slaves_ <= 0) return true;
-        return quorum_commit_offset_ >= offset;
-    }
-    const int need = commit_need();
-    return need == 0 || acked_replicas(offset) >= need;
+bool Replication::committed(std::int64_t offset) const {
+    return !gating() ||
+           acked(std::min(s_.cfg_.wait_for_slaves, valid_slaves()), offset);
 }
+
+// --- commit gating / duplicate suppression -----------------------------------
 
 void KvServer::dup_record(const WriteTag& tag, std::string reply, bool ready,
                           std::int64_t offset) {
@@ -490,7 +469,7 @@ void KvServer::dup_record(const WriteTag& tag, std::string reply, bool ready,
 void KvServer::deliver_or_park(const ClientPtr& conn, std::string reply,
                                std::int64_t offset, bool is_write, bool tagged,
                                WriteTag tag, bool traced) {
-    if (commit_satisfied(offset)) {
+    if (repl_->committed(offset)) {
         if (tagged) dup_record(tag, reply, /*ready=*/true, offset);
         if (traced && tracer_ != nullptr) {
             tracer_->flow_server_done(conn->channel->flow_id());
@@ -504,16 +483,14 @@ void KvServer::deliver_or_park(const ClientPtr& conn, std::string reply,
                                tag, traced});
     stats_.incr(is_write ? "writes_parked" : "reads_parked");
     sim_.after(cfg_.wait_timeout, [this, id]() { on_wait_timeout(id); });
-    if (!is_write && cfg_.replication_mode == ReplicationMode::kQuorum) {
-        maybe_read_repair(offset);
-    }
+    if (!is_write) repl_->on_read_parked(offset);
 }
 
 void KvServer::flush_parked() {
     if (parked_.empty()) return;
     for (auto it = parked_.begin(); it != parked_.end();) {
         Parked& p = it->second;
-        if (!commit_satisfied(p.offset)) {
+        if (!repl_->committed(p.offset)) {
             ++it;
             continue;
         }
@@ -581,7 +558,7 @@ void KvServer::record_command_latency(const std::vector<std::string>& argv,
         e.argv.assign(argv.begin(),
                       argv.begin() + static_cast<std::ptrdiff_t>(keep));
         slowlog_.push_back(std::move(e));
-        while (slowlog_.size() > cfg_.slowlog_max_len) slowlog_.pop_front();
+        while (slowlog_.size() > kSlowlogMaxLen) slowlog_.pop_front();
     }
     LatencyEvent& ev =
         latency_events_[is_write ? "command-write" : "command-read"];
@@ -589,7 +566,7 @@ void KvServer::record_command_latency(const std::vector<std::string>& argv,
     ev.last_dur_ns = dur.ns();
     ev.max_dur_ns = std::max(ev.max_dur_ns, dur.ns());
     ev.history.emplace_back(sim_.now().ns(), dur.ns());
-    while (ev.history.size() > cfg_.latency_history_len) ev.history.pop_front();
+    while (ev.history.size() > kLatencyHistoryLen) ev.history.pop_front();
 }
 
 std::string KvServer::slowlog_reply(const std::vector<std::string>& argv) {
@@ -786,6 +763,7 @@ void KvServer::connect_and_sync_slave(const std::string& slave_name,
 
 void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
     sim::NodeScope owner(self_.ep);
+    if (repl_->on_frame(msg)) return;
     switch (msg.type) {
         case NodeMsg::Type::kSync: {
             // Baseline: a slave registered over its own channel; serve the
@@ -843,39 +821,6 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
             apply_repl_stream(msg.field, msg.body);
             break;
         }
-        case NodeMsg::Type::kChainSet: {
-            handle_chain_set(msg);
-            break;
-        }
-        case NodeMsg::Type::kChainData: {
-            // Chain member: relay downstream first (so the hop overlaps our
-            // own apply), then apply locally.
-            if (role_ == Role::kSlave &&
-                cfg_.replication_mode == ReplicationMode::kChain) {
-                stats_.incr("chain_frames");
-                chain_forward_frame(msg.field, msg.body);
-                if (tracer_ != nullptr && tracer_->enabled()) {
-                    tracer_->repl_slave_apply(msg.field, obs_track_);
-                }
-                apply_repl_stream(msg.field, msg.body);
-            } else {
-                stats_.incr("node_msgs_unexpected");
-            }
-            break;
-        }
-        case NodeMsg::Type::kQuorumCommit: {
-            // Quorum master: the NIC released a new majority watermark.
-            if (role_ != Role::kSlave &&
-                cfg_.replication_mode == ReplicationMode::kQuorum) {
-                quorum_commit_offset_ =
-                    std::max(quorum_commit_offset_, msg.field);
-                stats_.incr("quorum_commit_updates");
-                flush_parked();
-            } else {
-                stats_.incr("node_msgs_unexpected");
-            }
-            break;
-        }
         case NodeMsg::Type::kBacklog: {
             // The sender of sync data is our master: progress reports go
             // back on this channel (baseline: the SYNC channel; SKV: the
@@ -905,10 +850,10 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
             if (role_ == Role::kSlave) {
                 role_ = Role::kMaster;
                 stats_.incr("promotions");
-                // A stand-in master is no chain member: it must neither
-                // relay frames nor serve leased tail reads while it serves
-                // writes solo.
-                reset_chain_state();
+                // A stand-in master serves writes solo: it leaves any
+                // protocol role it held as a replica (a chain member must
+                // neither relay frames nor serve leased tail reads).
+                repl_->on_role_change();
             }
             break;
         }
@@ -923,12 +868,18 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
                 for (auto& s : slaves_) drop_link(s.channel);
                 slaves_.clear();
                 available_slaves_ = 0;
-                // Back to slave duty with stale chain knowledge: wait for a
-                // fresh successor assignment before rejoining the chain.
-                reset_chain_state();
+                // Back to slave duty with stale protocol knowledge (e.g. a
+                // chain member waits for a fresh successor assignment).
+                repl_->on_role_change();
             }
             break;
         }
+        case NodeMsg::Type::kChainSet:
+            break; // another protocol's successor assignment: dropped
+        case NodeMsg::Type::kChainData:
+        case NodeMsg::Type::kQuorumCommit:
+            // Frames of a protocol this node does not run (or, for its
+            // own protocol, a role that does not take them).
         case NodeMsg::Type::kInitSync:
         case NodeMsg::Type::kProbeAck:
         case NodeMsg::Type::kQuorumAck:
@@ -962,10 +913,7 @@ void KvServer::apply_repl_stream(std::int64_t start_offset,
     drain_pending_stream();
     // Low-latency progress report so a commit-gating master can release
     // parked replies after one round trip instead of one ack_interval.
-    if (cfg_.ack_on_apply && role_ == Role::kSlave) {
-        send_ack();
-        send_quorum_ack();
-    }
+    if (cfg_.ack_on_apply && role_ == Role::kSlave) send_ack();
 }
 
 void KvServer::drain_pending_stream() {
@@ -1052,156 +1000,16 @@ void KvServer::load_snapshot(std::int64_t offset, const std::string& rdb_bytes) 
     repl_parser_.reset();
     stats_.incr("rdb_loaded");
     drain_pending_stream();
-    if (cfg_.ack_on_apply && role_ == Role::kSlave) {
-        send_ack();
-        send_quorum_ack();
-    }
+    if (cfg_.ack_on_apply && role_ == Role::kSlave) send_ack();
 }
 
 void KvServer::send_ack() {
-    if (role_ != Role::kSlave || !master_link_ || !master_link_->open()) return;
-    self_.core->consume(costs_.event_dispatch);
-    master_link_->send(
-        NodeMsg{NodeMsg::Type::kAck, applied_offset_, cfg_.name}.encode());
-}
-
-// --- chain replication (slave side) -------------------------------------------
-
-void KvServer::reset_chain_state() {
-    chain_member_ = false;
-    chain_is_tail_ = false;
-    chain_succ_.clear();
-    ++chain_dial_epoch_; // orphan any in-flight successor dial
-    drop_link(chain_succ_link_);
-    chain_fwd_pending_.clear();
-    chain_fwd_pending_bytes_ = 0;
-}
-
-void KvServer::handle_chain_set(const NodeMsg& msg) {
-    if (role_ != Role::kSlave ||
-        cfg_.replication_mode != ReplicationMode::kChain) {
-        return;
+    if (role_ == Role::kSlave && master_link_ && master_link_->open()) {
+        self_.core->consume(costs_.event_dispatch);
+        master_link_->send(
+            NodeMsg{NodeMsg::Type::kAck, applied_offset_, cfg_.name}.encode());
     }
-    stats_.incr("chain_sets");
-    if (msg.body == "-") {
-        // The master died: the chain carries no commits until it returns,
-        // so leave it (and stop serving leased tail reads immediately).
-        reset_chain_state();
-        return;
-    }
-    chain_member_ = true;
-    // The NIC's fan-out cursor at assignment time: data this member may
-    // still be missing from before the splice. Reads stay refused until
-    // the local apply cursor passes it.
-    chain_read_floor_ = msg.field;
-    chain_is_tail_ = msg.body.empty();
-    if (msg.body == chain_succ_ &&
-        (chain_is_tail_ || (chain_succ_link_ && chain_succ_link_->open()))) {
-        return; // no successor change and the link is healthy
-    }
-    // Successor changed (or its link died): drop the old link and any
-    // frames buffered for it — the NIC resyncs the new successor's gap.
-    drop_link(chain_succ_link_);
-    chain_fwd_pending_.clear();
-    chain_fwd_pending_bytes_ = 0;
-    chain_succ_ = msg.body;
-    if (!chain_is_tail_) dial_chain_successor();
-}
-
-void KvServer::dial_chain_successor() {
-    const auto at = chain_succ_.find('@');
-    if (at == std::string::npos) return;
-    const auto ep =
-        static_cast<net::EndpointId>(std::stoul(chain_succ_.substr(at + 1)));
-    SKV_CHECK(cfg_.transport == Transport::kRdma,
-              "chain replication requires the RDMA transport");
-    // A promotion leaves the chain (reset_chain_state), which supersedes a
-    // dial still in flight.
-    dial_node(
-        ep, static_cast<std::uint16_t>(cfg_.port + 1), &chain_dial_epoch_,
-        &chain_succ_link_,
-        [this](const net::ChannelPtr& ch) {
-            stats_.incr("chain_links_dialed");
-            // Relay frames that arrived while the dial was in flight.
-            while (!chain_fwd_pending_.empty()) {
-                auto [off, data] = std::move(chain_fwd_pending_.front());
-                chain_fwd_pending_.pop_front();
-                chain_fwd_pending_bytes_ -= data.size();
-                ch->send(NodeMsg{NodeMsg::Type::kChainData, off, data}.encode());
-            }
-        },
-        [this]() {
-            // A tail needs no successor; a node off the chain waits for a
-            // fresh assignment.
-            if (chain_is_tail_ || !chain_member_) return false;
-            dial_chain_successor();
-            return true;
-        });
-}
-
-void KvServer::chain_forward_frame(std::int64_t offset,
-                                   const std::string& bytes) {
-    if (chain_is_tail_ || chain_succ_.empty()) return;
-    if (chain_succ_link_ && chain_succ_link_->open()) {
-        self_.core->consume(costs_.jittered(rng_, costs_.repl_feed_slave) +
-                            costs_.copy_cost(bytes.size()));
-        chain_succ_link_->send(
-            NodeMsg{NodeMsg::Type::kChainData, offset, bytes}.encode());
-        stats_.incr("chain_forwards");
-        return;
-    }
-    // Successor link still dialing: hold the frame (bounded). Overflow is
-    // dropped — the NIC's stall resync serves the successor from the
-    // master's backlog instead.
-    if (chain_fwd_pending_bytes_ + bytes.size() <= kChainFwdPendingCap) {
-        chain_fwd_pending_bytes_ += bytes.size();
-        chain_fwd_pending_.emplace_back(offset, bytes);
-    } else {
-        stats_.incr("chain_fwd_dropped");
-    }
-}
-
-// simlint:observe-only
-bool KvServer::chain_read_ok() const {
-    if (cfg_.replication_mode != ReplicationMode::kChain) return false;
-    if (role_ != Role::kSlave || !chain_member_ || !chain_is_tail_) return false;
-    if (applied_offset_ < chain_read_floor_) return false; // still catching up
-    // Probe lease: a tail the NIC can no longer reach must stop answering
-    // before the detector excludes it from the commit set, or a partitioned
-    // stale tail would serve reads that miss newer acked writes.
-    return sim_.now().ns() - last_probe_ns_ <= cfg_.chain_read_lease.ns();
-}
-
-// --- quorum replication -------------------------------------------------------
-
-void KvServer::send_quorum_ack() {
-    if (cfg_.replication_mode != ReplicationMode::kQuorum) return;
-    if (role_ != Role::kSlave || !nic_registration_ ||
-        !nic_registration_->open()) {
-        return;
-    }
-    self_.core->consume(costs_.event_dispatch);
-    nic_registration_->send(
-        NodeMsg{NodeMsg::Type::kQuorumAck, applied_offset_, cfg_.name}.encode());
-}
-
-void KvServer::maybe_read_repair(std::int64_t offset) {
-    // ABD read phase 2: this read observed state at `offset`, which is not
-    // yet majority-acknowledged. Push the missing backlog suffix back
-    // through the NIC so it reaches a majority before the parked reply
-    // releases. High-water deduped: concurrent parked reads share one
-    // write-back.
-    if (!nic_attached_ || !nic_link_ || !nic_link_->open()) return;
-    if (offset <= read_repair_sent_ || offset <= quorum_commit_offset_) return;
-    const std::int64_t from = std::max<std::int64_t>(quorum_commit_offset_, 0);
-    if (!backlog_.can_serve(from)) return; // resync machinery covers laggards
-    const std::string range = backlog_.read_from(from);
-    if (range.empty()) return;
-    self_.core->consume(costs_.jittered(rng_, costs_.offload_request_build) +
-                        costs_.copy_cost(range.size()));
-    nic_link_->send(NodeMsg{NodeMsg::Type::kReadRepair, from, range}.encode());
-    read_repair_sent_ = backlog_.master_offset();
-    stats_.incr("read_repairs_sent");
+    repl_->on_progress();
 }
 
 // --- role wiring -------------------------------------------------------------------
@@ -1285,7 +1093,7 @@ void KvServer::cron() {
     if (!crashed_) {
         // Active expiry + incremental rehash make progress even when idle.
         const std::size_t removed =
-            db_.active_expire_cycle(rng_, cfg_.expire_samples);
+            db_.active_expire_cycle(rng_, kExpireSamples);
         if (removed > 0) {
             self_.core->consume(costs_.cmd_exec_write * static_cast<std::int64_t>(removed));
             stats_.incr("expired_keys", removed);
@@ -1302,17 +1110,14 @@ void KvServer::cron() {
 
         ++cron_ticks_;
         const std::int64_t acks_every =
-            std::max<std::int64_t>(1, cfg_.ack_interval.ns() / cfg_.cron_interval.ns());
-        if (cron_ticks_ % acks_every == 0) {
-            send_ack();
-            send_quorum_ack();
-        }
+            std::max<std::int64_t>(1, cfg_.ack_interval.ns() / kCronInterval.ns());
+        if (cron_ticks_ % acks_every == 0) send_ack();
 
         // Periodic RDB persistence: the snapshot + offset pair is the only
         // state a cold restart recovers from.
         if (cfg_.persist_interval.ns() > 0) {
             const std::int64_t persists_every = std::max<std::int64_t>(
-                1, cfg_.persist_interval.ns() / cfg_.cron_interval.ns());
+                1, cfg_.persist_interval.ns() / kCronInterval.ns());
             if (cron_ticks_ % persists_every == 0) persist_snapshot();
         }
 
@@ -1342,7 +1147,7 @@ void KvServer::cron() {
             }
         }
     }
-    sim_.after(cfg_.cron_interval, [this]() { cron(); });
+    sim_.after(kCronInterval, [this]() { cron(); });
 }
 
 // --- fault injection ------------------------------------------------------------------
@@ -1366,17 +1171,8 @@ void KvServer::crash() {
     nic_attached_ = false;
     pending_stream_.clear();
     pending_stream_bytes_ = 0;
-    // Chain/quorum volatile state dies with the process too. No close() on
-    // the successor link either — same reasoning as above.
-    chain_member_ = false;
-    chain_is_tail_ = false;
-    chain_succ_.clear();
-    chain_succ_link_.reset();
-    ++chain_dial_epoch_;
-    chain_fwd_pending_.clear();
-    chain_fwd_pending_bytes_ = 0;
-    quorum_commit_offset_ = 0;
-    read_repair_sent_ = 0;
+    // Protocol volatile state dies with the process too (again no close()).
+    repl_->on_crash();
     // Parked replies die with their connections; their wait-timeout events
     // find nothing and no-op. The dup table survives for a *warm* restart
     // (same process memory); a cold recover() wipes it.

@@ -20,6 +20,7 @@
 #include "obs/tracer.hpp"
 #include "server/config.hpp"
 #include "server/protocol.hpp"
+#include "server/replication.hpp"
 #include "sim/simulation.hpp"
 
 namespace skv::server {
@@ -84,14 +85,8 @@ public:
     [[nodiscard]] bool dup_has(std::uint64_t client) const {
         return dup_table_.find(client) != dup_table_.end();
     }
-    /// Chain mode: whether this node currently believes it is the tail.
-    [[nodiscard]] bool chain_is_tail() const {
-        return chain_member_ && chain_is_tail_;
-    }
-    /// Quorum mode: the majority watermark last released by the NIC.
-    [[nodiscard]] std::int64_t quorum_commit_offset() const {
-        return quorum_commit_offset_;
-    }
+    /// The replication protocol this node runs (protocol state for tests).
+    [[nodiscard]] const Replication& replication() const { return *repl_; }
 
     // --- introspection -----------------------------------------------------------
     [[nodiscard]] kv::Database& db() { return db_; }
@@ -110,8 +105,6 @@ public:
     [[nodiscard]] std::size_t client_conns() const { return clients_.size(); }
     [[nodiscard]] obs::Registry& stats() { return stats_; }
     [[nodiscard]] std::uint64_t commands_processed() const { return commands_; }
-    /// The SKV master's replication-request channel (introspection).
-    [[nodiscard]] const net::ChannelPtr& nic_link() const { return nic_link_; }
 
     /// INFO-style one-line status (examples print this).
     [[nodiscard]] std::string info() const;
@@ -135,10 +128,24 @@ public:
     void set_tracer(obs::Tracer* tracer, const std::string& track_name);
 
 private:
+    // Protocol objects work on the server's state directly (DESIGN.md §13).
+    friend class Replication;
+    friend class ChainReplication;
+    friend class QuorumReplication;
+
+    // serverCron cadence (active expiry, rehash steps, bookkeeping) and its
+    // active-expire sample size; the redial interval for node-link
+    // handshakes (the CM exchange rides unprotected fabric messages); the
+    // SLOWLOG ring and per-event LATENCY HISTORY depths.
+    static constexpr sim::Duration kCronInterval = sim::milliseconds(100);
+    static constexpr std::size_t kExpireSamples = 20;
+    static constexpr sim::Duration kConnectRetry = sim::milliseconds(500);
+    static constexpr std::size_t kSlowlogMaxLen = 128;
+    static constexpr std::size_t kLatencyHistoryLen = 16;
+
     struct ClientConn {
         net::ChannelPtr channel;
         kv::resp::RequestParser parser;
-        bool node_link = false;
     };
     using ClientPtr = std::shared_ptr<ClientConn>;
 
@@ -160,17 +167,17 @@ private:
     void listen_all();
     void on_client_accept(net::ChannelPtr ch);
     /// Take ownership of a node link: wrap it in the retransmitting layer
-    /// (when configured; on_node_link_broken reacts to a broken link),
-    /// retain a node ClientConn for it and install the NodeMsg handler,
-    /// which captures the record weakly (the record owns the channel that
-    /// stores the handler). Returns the (possibly wrapped) link.
-    net::ChannelPtr adopt_node_link(net::ChannelPtr ch);
+    /// (on_node_link_broken reacts to a broken link), retain a node
+    /// ClientConn for it and install the NodeMsg handler, which captures
+    /// the record weakly (the record owns the channel that stores the
+    /// handler). Returns the wrapped link.
+    net::ChannelPtr adopt_node_link(net::ChannelPtr inner);
     /// Dial `ep:port` over the configured transport, adopt the link, store
     /// it in `*link` (when given) and run `on_up`. Each dial bumps
     /// `*attempt` (when given): the result of an older dial is superseded
     /// and closed. A result arriving after crash() is dropped unclosed, like
     /// every link of the dead process. With `redial`, the dial starts over
-    /// after connect_retry unless `*link` is up by then.
+    /// after kConnectRetry unless `*link` is up by then.
     void dial_node(net::EndpointId ep, std::uint16_t port,
                    std::uint64_t* attempt, net::ChannelPtr* link,
                    NodeLinkUp on_up, NodeRedial redial = nullptr);
@@ -196,13 +203,6 @@ private:
     void deliver_or_park(const ClientPtr& conn, std::string reply,
                          std::int64_t offset, bool is_write, bool tagged,
                          WriteTag tag, bool traced);
-    /// Replicas needed to consider `offset` committed right now.
-    [[nodiscard]] int commit_need() const;
-    [[nodiscard]] int acked_replicas(std::int64_t offset) const;
-    /// Protocol-aware commit predicate: fan-out/chain count slave acks
-    /// (chain needs every valid member — tail semantics); quorum gates on
-    /// the NIC-released majority watermark.
-    [[nodiscard]] bool commit_satisfied(std::int64_t offset) const;
     /// Re-deliver every parked reply whose offset became acknowledged
     /// (called whenever ack progress or the slave set changes).
     void flush_parked();
@@ -234,27 +234,9 @@ private:
     void drain_pending_stream();
     void apply_one(std::vector<std::string> argv);
     void load_snapshot(std::int64_t offset, const std::string& rdb_bytes);
+    /// Report applied progress: the kAck to the master, then the
+    /// protocol's own report (Replication::on_progress).
     void send_ack();
-
-    // -- chain replication (slave side, DESIGN.md §13)
-    void handle_chain_set(const NodeMsg& msg);
-    /// Relay a chain frame to the successor (or buffer it while the
-    /// successor link is still dialing), then apply it locally.
-    void chain_forward_frame(std::int64_t offset, const std::string& bytes);
-    void dial_chain_successor();
-    void reset_chain_state();
-    /// Whether this node may answer a read right now as the chain tail:
-    /// requires tail role, catch-up past the assignment-time read floor,
-    /// and a fresh probe lease (see ServerConfig::chain_read_lease).
-    [[nodiscard]] bool chain_read_ok() const;
-
-    // -- quorum replication (DESIGN.md §13)
-    /// Slave: report applied progress to the NIC's ack aggregation.
-    void send_quorum_ack();
-    /// Master: ABD read-phase write-back — push the not-yet-majority
-    /// backlog suffix through the NIC so the state a parked read observed
-    /// reaches a majority before the reply releases.
-    void maybe_read_repair(std::int64_t offset);
 
     // -- introspection commands / latency accounting
     void record_command_latency(const std::vector<std::string>& argv,
@@ -311,22 +293,8 @@ private:
     std::size_t pending_stream_bytes_ = 0;
     static constexpr std::size_t kPendingStreamCap = 64 * 1024 * 1024;
 
-    // chain state (slave side): successor assignment from the NIC.
-    bool chain_member_ = false;    // holds a live kChainSet assignment
-    bool chain_is_tail_ = false;
-    std::string chain_succ_;       // successor "<name>@<ep>", "" = tail
-    net::ChannelPtr chain_succ_link_;
-    std::uint64_t chain_dial_epoch_ = 0;
-    std::int64_t chain_read_floor_ = 0;
-    /// Frames to relay that arrived while the successor link was dialing.
-    /// Bounded; overflow drops (the NIC's stall resync heals the gap).
-    std::deque<std::pair<std::int64_t, std::string>> chain_fwd_pending_;
-    std::size_t chain_fwd_pending_bytes_ = 0;
-    static constexpr std::size_t kChainFwdPendingCap = 8 * 1024 * 1024;
-
-    // quorum state (master side).
-    std::int64_t quorum_commit_offset_ = 0; // NIC-released majority watermark
-    std::int64_t read_repair_sent_ = 0;     // high-water dedup for write-backs
+    /// Built once from cfg_.replication_mode.
+    std::unique_ptr<Replication> repl_;
 
     // Duplicate suppression: last write sequence executed per client, with
     // the cached reply. `ready` flips once the reply was actually released

@@ -42,21 +42,15 @@ void Cluster::start() {
     // SmartNIC + Nic-KV on the master (SKV mode only; the baseline's NIC
     // switch steers everything straight to the host).
     if (cfg_.offload) {
-        nic::SmartNicParams np = cfg_.nic_params;
-        np.core_slowdown = cfg_.costs.nic_core_slowdown;
-        np.arm_cores = cfg_.costs.nic_cores;
         nic_ = std::make_unique<nic::SmartNic>(sim_, fabric_, master_ep,
-                                               "master/bf2", np);
-        // Both ends of a node link must agree on whether the reliable
-        // envelope is spoken.
-        NicKvConfig ncfg = cfg_.nic_cfg;
-        ncfg.reliable_node_links = cfg_.server_tmpl.reliable_node_links;
-        ncfg.reliable = cfg_.server_tmpl.reliable;
-        // The NIC executes the same protocol the servers were configured
-        // for (chain successor tables / quorum ack aggregation).
-        ncfg.replication_mode = cfg_.server_tmpl.replication_mode;
-        nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_, ncfg);
-        nickv_->set_tracer(&tracer_, "nic/" + ncfg.name);
+                                               "master/bf2", cfg_.nic_params);
+        // Both ends of a node link speak the same reliable envelope, and
+        // the NIC executes the protocol the servers were configured for
+        // (chain successor tables / quorum ack aggregation).
+        nickv_ = std::make_unique<NicKv>(sim_, cfg_.costs, cm_, *nic_,
+                                         cfg_.nic_cfg, cfg_.server_tmpl.reliable,
+                                         cfg_.server_tmpl.replication_mode);
+        nickv_->set_tracer(&tracer_, "nic/" + cfg_.nic_cfg.name);
     }
 
     // Slave hosts.

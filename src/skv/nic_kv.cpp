@@ -11,9 +11,11 @@ namespace skv::offload {
 using server::NodeMsg;
 
 NicKv::NicKv(sim::Simulation& sim, const cpu::CostModel& costs,
-             rdma::ConnectionManager& cm, nic::SmartNic& nic, NicKvConfig cfg)
+             rdma::ConnectionManager& cm, nic::SmartNic& nic, NicKvConfig cfg,
+             server::ReliableParams reliable, server::ReplicationMode mode)
     : sim_(sim), costs_(costs), cm_(cm), nic_(nic), cfg_(std::move(cfg)),
-      rng_(sim.fork_rng()), stats_(cfg_.name),
+      reliable_(reliable), rng_(sim.fork_rng()),
+      repl_(make_nic_replication(*this, mode)), stats_(cfg_.name),
       c_fanout_sends_(stats_.counter_handle("fanout_sends")),
       c_repl_requests_(stats_.counter_handle("repl_requests")) {}
 
@@ -42,7 +44,7 @@ void NicKv::crash() {
     master_idx_ = -1;
     promoted_idx_ = -1;
     fanout_offset_ = 0;
-    quorum_watermark_ = 0;
+    repl_->on_crash();
     stats_.incr("crashes");
 }
 
@@ -58,12 +60,10 @@ void NicKv::recover() {
     sim_.after(cfg_.probe_interval, [this, epoch]() { probe_cycle(epoch); });
 }
 
-void NicKv::on_accept(net::ChannelPtr ch) {
-    if (cfg_.reliable_node_links) {
-        ch = server::ReliableChannel::wrap(
-            sim_, std::move(ch), cfg_.reliable, &stats_,
-            [this](const net::Channel* broken) { on_link_broken(broken); });
-    }
+void NicKv::on_accept(net::ChannelPtr inner) {
+    net::ChannelPtr ch = server::ReliableChannel::wrap(
+        sim_, std::move(inner), reliable_, &stats_,
+        [this](const net::Channel* broken) { on_link_broken(broken); });
     auto raw = ch.get();
     ch->set_on_message([this, raw](std::string payload) {
         if (crashed_) return;
@@ -200,6 +200,7 @@ void NicKv::assign_cores() {
 }
 
 void NicKv::handle(const net::ChannelPtr& ch, const NodeMsg& msg) {
+    if (repl_->on_frame(ch, msg)) return;
     switch (msg.type) {
         case NodeMsg::Type::kSync:
             // "master:<name>@<ep>" — the master Host-KV attaching.
@@ -219,15 +220,9 @@ void NicKv::handle(const net::ChannelPtr& ch, const NodeMsg& msg) {
         case NodeMsg::Type::kProbeAck:
             handle_probe_ack(ch, msg);
             break;
-        case NodeMsg::Type::kQuorumAck:
-            handle_quorum_ack(ch, msg);
-            break;
-        case NodeMsg::Type::kReadRepair:
-            handle_read_repair(msg);
-            break;
-        // The NIC originates these (or they flow host<->host around it) and
-        // must never receive them; each is named so that adding an enum
-        // value forces a decision here (simlint unhandled-tag).
+        // The NIC originates these, they flow host<->host around it, or they
+        // belong to a protocol this NIC does not run; each is named so that
+        // adding an enum value forces a decision here (simlint unhandled-tag).
         case NodeMsg::Type::kSyncNotify:
         case NodeMsg::Type::kFullSync:
         case NodeMsg::Type::kBacklog:
@@ -240,6 +235,8 @@ void NicKv::handle(const net::ChannelPtr& ch, const NodeMsg& msg) {
         case NodeMsg::Type::kChainSet:
         case NodeMsg::Type::kChainData:
         case NodeMsg::Type::kQuorumCommit:
+        case NodeMsg::Type::kQuorumAck:
+        case NodeMsg::Type::kReadRepair:
             stats_.incr("unexpected_msgs");
             break;
     }
@@ -274,16 +271,8 @@ void NicKv::register_master(const net::ChannelPtr& ch, const NodeMsg& msg) {
         demote_stand_in();
         publish_slave_status();
     }
-    if (cfg_.replication_mode == server::ReplicationMode::kQuorum &&
-        quorum_watermark_ > 0 && ch->open()) {
-        // A (re)attaching master learns the current commit watermark at
-        // once instead of waiting for the next ack-driven advance — parked
-        // replies it re-accumulates would otherwise stall until new writes.
-        nic_.core(0).consume(costs_.event_dispatch);
-        ch->send(NodeMsg{NodeMsg::Type::kQuorumCommit, quorum_watermark_, ""}
-                     .encode());
-    }
-    reconfigure_chain();
+    repl_->on_master_registered(ch);
+    repl_->on_membership_change();
 }
 
 void NicKv::register_slave(const net::ChannelPtr& ch, const NodeMsg& msg) {
@@ -317,7 +306,7 @@ void NicKv::register_slave(const net::ChannelPtr& ch, const NodeMsg& msg) {
     // A slave (re)joining a masterless cluster: the earlier invalidation
     // scan may have found nobody promotable, so retry the failover now.
     maybe_promote();
-    reconfigure_chain();
+    repl_->on_membership_change();
 }
 
 void NicKv::fan_out(const NodeMsg& msg) {
@@ -328,57 +317,42 @@ void NicKv::fan_out(const NodeMsg& msg) {
         tracer_->repl_fanout(msg.field, obs_track_);
     }
     fanout_offset_ = msg.field + static_cast<std::int64_t>(msg.body.size());
-    if (cfg_.replication_mode == server::ReplicationMode::kChain) {
-        chain_forward(msg);
-    } else {
-        const std::string wire = msg.encode();
-        for (auto& e : nodes_) {
-            if (!live_slave(e)) continue;
-            // Copy into this slave's send buffer on its assigned ARM core,
-            // then one WRITE_WITH_IMM per slave (paper Fig. 9 step 2).
-            cpu::Core& core = nic_.core(e.core_idx);
-            core.consume(costs_.jittered(rng_, costs_.nic_repl_fanout_per_slave) +
-                         costs_.copy_cost(msg.body.size()));
-            e.channel->send(wire);
-            c_fanout_sends_.incr();
-        }
-    }
+    repl_->fan_out(msg);
     c_repl_requests_.incr();
-    if (cfg_.replication_mode == server::ReplicationMode::kQuorum) {
-        // An injected zero-ack majority (split-brain self-test) advances the
-        // watermark on the master's copy alone, i.e. right here; for a real
-        // majority this recompute is a cheap no-op until acks arrive.
-        recompute_quorum_watermark();
+}
+
+std::unique_ptr<NicReplication> make_nic_replication(
+    NicKv& nic, server::ReplicationMode mode) {
+    switch (mode) {
+        case server::ReplicationMode::kFanout: break; // the base class
+        case server::ReplicationMode::kChain: return std::make_unique<NicChain>(nic);
+        case server::ReplicationMode::kQuorum: return std::make_unique<NicQuorum>(nic);
+    }
+    return std::make_unique<NicReplication>(nic);
+}
+
+void NicReplication::fan_out(const NodeMsg& msg) {
+    const std::string wire = msg.encode();
+    for (auto& e : n_.nodes_) {
+        if (!NicKv::live_slave(e)) continue;
+        // Copy into this slave's send buffer on its assigned ARM core,
+        // then one WRITE_WITH_IMM per slave (paper Fig. 9 step 2).
+        cpu::Core& core = n_.nic_.core(e.core_idx);
+        core.consume(n_.costs_.jittered(n_.rng_, n_.costs_.nic_repl_fanout_per_slave) +
+                     n_.costs_.copy_cost(msg.body.size()));
+        e.channel->send(wire);
+        n_.c_fanout_sends_.incr();
     }
 }
 
-void NicKv::chain_forward(const NodeMsg& msg) {
-    // Chain mode's fan_out: a single send to the chain head (the first
-    // valid member); members relay the frame downstream themselves, so the
-    // NIC pays one hop regardless of chain length.
-    for (auto& e : nodes_) {
-        if (!live_slave(e)) continue;
-        cpu::Core& core = nic_.core(e.core_idx);
-        core.consume(costs_.jittered(rng_, costs_.nic_repl_fanout_per_slave) +
-                     costs_.copy_cost(msg.body.size()));
-        e.channel->send(
-            NodeMsg{NodeMsg::Type::kChainData, msg.field, msg.body}.encode());
-        c_fanout_sends_.incr();
-        return;
+int NicReplication::pick_stand_in() const {
+    // The first valid slave: fan-out's historical pick, and chain's head
+    // (upstream members hold a superset of everything downstream).
+    for (std::size_t i = 0; i < n_.nodes_.size(); ++i) {
+        const auto& e = n_.nodes_[i];
+        if (!e.is_master && e.valid && e.channel) return static_cast<int>(i);
     }
-    // No live member: the write stays in the master's backlog and is served
-    // to the next chain via resync; the master's commit gate holds it back
-    // from clients meanwhile.
-    stats_.incr("chain_no_head");
-}
-
-// simlint:observe-only
-std::vector<std::string> NicKv::chain_order() const {
-    std::vector<std::string> out;
-    for (const auto& e : nodes_) {
-        if (live_slave(e)) out.push_back(e.name);
-    }
-    return out;
+    return -1;
 }
 
 void NicKv::request_resync(const NodeEntry& e) {
@@ -387,118 +361,6 @@ void NicKv::request_resync(const NodeEntry& e) {
     master->send(
         NodeMsg{NodeMsg::Type::kResyncRequest, e.repl_offset, e.name}.encode());
     stats_.incr("resyncs_requested");
-}
-
-void NicKv::reconfigure_chain() {
-    if (cfg_.replication_mode != server::ReplicationMode::kChain) return;
-    // Splice the chain from the failure detector's view: valid members in
-    // registration order, each told its successor ("" marks the tail). The
-    // assignment carries the current fan-out cursor as the member's read
-    // floor — a re-spliced-in laggard must not serve tail reads until it
-    // has applied at least that much. While the master is down the chain
-    // carries no commits (the promoted stand-in serves solo), so members
-    // are told to leave ("-"): a leased tail would otherwise keep
-    // answering reads that miss the stand-in's writes.
-    std::vector<NodeEntry*> chain;
-    for (auto& e : nodes_) {
-        if (live_slave(e)) chain.push_back(&e);
-    }
-    const bool feeding = master_valid();
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-        std::string body;
-        if (!feeding) {
-            body = "-";
-        } else if (i + 1 < chain.size()) {
-            body = chain[i + 1]->name;
-        }
-        nic_.core(0).consume(costs_.event_dispatch);
-        chain[i]->channel->send(
-            NodeMsg{NodeMsg::Type::kChainSet, fanout_offset_, body}.encode());
-    }
-    stats_.incr("chain_reconfigs");
-    // Ranges the old chain never relayed to a (re)joining member can only
-    // come from the master's backlog.
-    if (feeding) {
-        for (auto* e : chain) {
-            if (e->repl_offset < fanout_offset_) request_resync(*e);
-        }
-    }
-}
-
-int NicKv::quorum_slave_acks_needed() const {
-    if (cfg_.quorum_slave_acks_override >= 0) {
-        return cfg_.quorum_slave_acks_override;
-    }
-    // Replica set = master + every registered slave (fixed-n ABD). The
-    // master's own copy counts toward the majority, so the NIC needs
-    // majority(n) - 1 slave acks. Dead slaves stay in the denominator:
-    // shrinking it on failure would silently weaken the quorum.
-    const int replicas = 1 + static_cast<int>(slave_count());
-    return replicas / 2 + 1 - 1;
-}
-
-void NicKv::handle_quorum_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
-    if (cfg_.replication_mode != server::ReplicationMode::kQuorum) {
-        stats_.incr("unexpected_msgs");
-        return;
-    }
-    nic_.core(0).consume(costs_.event_dispatch);
-    NodeEntry* e = find_by_channel(ch);
-    if (e == nullptr || e->is_master) return;
-    e->quorum_ack = std::max(e->quorum_ack, msg.field);
-    e->repl_offset = std::max(e->repl_offset, msg.field);
-    stats_.incr("quorum_acks");
-    recompute_quorum_watermark();
-}
-
-void NicKv::recompute_quorum_watermark() {
-    const int need = quorum_slave_acks_needed();
-    std::int64_t mark = 0;
-    if (need <= 0) {
-        // The master's copy alone is a majority (solo bootstrap, or the
-        // injected split-brain override).
-        mark = fanout_offset_;
-    } else {
-        std::vector<std::int64_t> acks;
-        for (const auto& e : nodes_) {
-            if (!e.is_master) acks.push_back(e.quorum_ack);
-        }
-        if (static_cast<int>(acks.size()) < need) return;
-        std::sort(acks.begin(), acks.end(), std::greater<>());
-        mark = acks[static_cast<std::size_t>(need - 1)];
-    }
-    if (mark <= quorum_watermark_) return;
-    quorum_watermark_ = mark;
-    net::Channel* master = open_master_link();
-    if (master == nullptr) return;
-    nic_.core(0).consume(costs_.event_dispatch);
-    master->send(
-        NodeMsg{NodeMsg::Type::kQuorumCommit, quorum_watermark_, ""}.encode());
-    stats_.incr("quorum_commits");
-}
-
-void NicKv::handle_read_repair(const NodeMsg& msg) {
-    if (cfg_.replication_mode != server::ReplicationMode::kQuorum) {
-        stats_.incr("unexpected_msgs");
-        return;
-    }
-    // ABD read phase 2: the master pushed the not-yet-majority backlog
-    // suffix; re-fan it to replicas that have not acknowledged it. Overlap
-    // with data already applied is harmless (stale-skip on the slave).
-    nic_.core(0).consume(costs_.jittered(rng_, costs_.nic_repl_parse));
-    const std::int64_t end =
-        msg.field + static_cast<std::int64_t>(msg.body.size());
-    const std::string wire =
-        NodeMsg{NodeMsg::Type::kReplData, msg.field, msg.body}.encode();
-    for (auto& e : nodes_) {
-        if (!live_slave(e) || e.quorum_ack >= end) continue;
-        cpu::Core& core = nic_.core(e.core_idx);
-        core.consume(costs_.jittered(rng_, costs_.nic_repl_fanout_per_slave) +
-                     costs_.copy_cost(msg.body.size()));
-        e.channel->send(wire);
-        stats_.incr("read_repair_sends");
-    }
-    stats_.incr("read_repairs");
 }
 
 void NicKv::handle_probe_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
@@ -530,15 +392,13 @@ void NicKv::handle_probe_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
         }
         publish_slave_status();
         maybe_promote(); // a slave revalidated into a masterless cluster
-        reconfigure_chain();
-    } else if (!e->is_master &&
-               cfg_.replication_mode != server::ReplicationMode::kFanout &&
+        repl_->on_membership_change();
+    } else if (!e->is_master && repl_->stall_resync() &&
                e->repl_offset < fanout_offset_ && e->repl_offset == prev) {
-        // Chain/quorum stall healing: a valid member that made zero
-        // progress over a full probe round while behind the cursor lost
-        // data its path never re-delivers (e.g. frames relayed while its
-        // chain predecessor was dialing it). Fan-out mode is excluded — the
-        // reliable links already retransmit everything it sends.
+        // Stall healing: a valid member that made zero progress over a full
+        // probe round while behind the cursor lost data its path never
+        // re-delivers (e.g. frames relayed while its chain predecessor was
+        // dialing it).
         request_resync(*e);
         stats_.incr("stall_resyncs");
     }
@@ -551,7 +411,6 @@ void NicKv::probe_cycle(std::uint64_t epoch) {
     for (auto& e : nodes_) {
         if (!e.channel || !e.channel->open()) continue;
         nic_.core(0).consume(costs_.event_dispatch);
-        e.probe_seq = probe_round_;
         e.channel->send(
             NodeMsg{NodeMsg::Type::kProbe,
                     static_cast<std::int64_t>(probe_round_), ""}
@@ -612,32 +471,9 @@ void NicKv::maybe_promote() {
         promoted_idx_ >= 0) {
         return;
     }
-    // Failover: pick an available slave as the stand-in master. The
-    // choice is protocol-specific: fan-out keeps the historical
-    // first-valid pick and chain promotes its head (upstream members
-    // hold a superset of everything downstream — for fan-out the first
-    // valid slave IS the head, so the rules coincide); quorum promotes
-    // the most caught-up replica its ack aggregation knows about.
-    int pick = -1;
-    if (cfg_.replication_mode == server::ReplicationMode::kQuorum) {
-        std::int64_t best = -1;
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            const auto& n = nodes_[i];
-            if (n.is_master || !n.valid || !n.channel) continue;
-            const std::int64_t off = std::max(n.quorum_ack, n.repl_offset);
-            if (off > best) {
-                best = off;
-                pick = static_cast<int>(i);
-            }
-        }
-    } else {
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            if (!nodes_[i].is_master && nodes_[i].valid && nodes_[i].channel) {
-                pick = static_cast<int>(i);
-                break;
-            }
-        }
-    }
+    // Failover: the protocol picks an available slave as the stand-in
+    // master.
+    const int pick = repl_->pick_stand_in();
     if (pick >= 0) {
         promoted_idx_ = pick;
         nodes_[static_cast<std::size_t>(pick)].channel->send(
@@ -649,7 +485,7 @@ void NicKv::maybe_promote() {
 void NicKv::after_invalidation() {
     maybe_promote();
     publish_slave_status();
-    reconfigure_chain();
+    repl_->on_membership_change();
 }
 
 void NicKv::publish_slave_status() {

@@ -15,6 +15,7 @@
 #include "server/protocol.hpp"
 #include "server/reliable.hpp"
 #include "sim/simulation.hpp"
+#include "skv/nic_replication.hpp"
 
 namespace skv::offload {
 
@@ -32,13 +33,6 @@ struct NicKvConfig {
     sim::Duration waiting_time{sim::milliseconds(1500)};
     /// Node-list entry footprint charged against on-board DRAM.
     std::size_t node_entry_bytes = 512 * 1024;
-    /// Wrap accepted node links in the retransmitting layer (must match the
-    /// KvServer-side setting, both ends speak the same envelope).
-    bool reliable_node_links = true;
-    server::ReliableParams reliable{};
-    /// Which replication protocol this NIC executes (mirrors
-    /// ServerConfig::replication_mode; Cluster keeps the two in sync).
-    server::ReplicationMode replication_mode = server::ReplicationMode::kFanout;
     /// Test-only fault injection: when >= 0, quorum mode pretends this many
     /// slave acks constitute a majority (0 = split-brain: the watermark
     /// advances on the master's copy alone). -1 computes the real majority
@@ -68,15 +62,18 @@ public:
         /// the fan-out cursor across a full probe round gets a resync
         /// (chain/quorum stall healing).
         std::int64_t prev_probe_offset = -1;
-        /// Probe bookkeeping.
+        /// When the node last answered a probe.
         std::int64_t last_heard_ns = 0;
-        std::uint64_t probe_seq = 0;
         /// Which ARM core handles this slave's fan-out (multi-threaded mode).
         int core_idx = 0;
     };
 
+    /// `reliable` is the node links' retransmitting envelope and `mode` the
+    /// protocol Nic-KV executes; both must match the servers' (Cluster
+    /// hands over their ServerConfig values).
     NicKv(sim::Simulation& sim, const cpu::CostModel& costs,
-          rdma::ConnectionManager& cm, nic::SmartNic& nic, NicKvConfig cfg);
+          rdma::ConnectionManager& cm, nic::SmartNic& nic, NicKvConfig cfg,
+          server::ReliableParams reliable, server::ReplicationMode mode);
 
     /// Listen on the SmartNIC endpoint and start the probe timer.
     void start();
@@ -101,10 +98,8 @@ public:
     [[nodiscard]] bool master_known() const { return master_idx_ >= 0; }
     [[nodiscard]] bool master_valid() const;
     [[nodiscard]] std::int64_t fanout_offset() const { return fanout_offset_; }
-    /// Quorum mode: highest offset known replicated on a replica majority.
-    [[nodiscard]] std::int64_t quorum_watermark() const { return quorum_watermark_; }
-    /// Chain mode: names of the current chain members, head first.
-    [[nodiscard]] std::vector<std::string> chain_order() const;
+    /// The replication protocol this NIC runs (protocol state for tests).
+    [[nodiscard]] const NicReplication& replication() const { return *repl_; }
     [[nodiscard]] int effective_threads() const;
     [[nodiscard]] obs::Registry& stats() { return stats_; }
 
@@ -118,7 +113,12 @@ public:
     [[nodiscard]] net::EndpointId endpoint() const { return nic_.endpoint(); }
 
 private:
-    void on_accept(net::ChannelPtr ch);
+    // Protocol objects work on the node table directly (DESIGN.md §13).
+    friend class NicReplication;
+    friend class NicChain;
+    friend class NicQuorum;
+
+    void on_accept(net::ChannelPtr inner);
     void handle(const net::ChannelPtr& ch, const server::NodeMsg& msg);
 
     void register_master(const net::ChannelPtr& ch, const server::NodeMsg& msg);
@@ -126,24 +126,6 @@ private:
     void fan_out(const server::NodeMsg& msg);
     void handle_probe_ack(const net::ChannelPtr& ch, const server::NodeMsg& msg);
 
-    // --- chain replication (DESIGN.md §13) --------------------------------
-    /// Forward one replication frame to the chain head (chain mode's
-    /// fan_out): members relay it downstream themselves.
-    void chain_forward(const server::NodeMsg& msg);
-    /// (Re-)splice the chain from the failure detector's view and push
-    /// fresh successor assignments (kChainSet) to every member; laggards
-    /// get a master-served resync for ranges the old chain never relayed.
-    void reconfigure_chain();
-
-    // --- quorum replication (DESIGN.md §13) -------------------------------
-    void handle_quorum_ack(const net::ChannelPtr& ch, const server::NodeMsg& msg);
-    /// Re-fan a master-pushed backlog suffix (ABD read-phase write-back) to
-    /// replicas that have not yet acknowledged it.
-    void handle_read_repair(const server::NodeMsg& msg);
-    [[nodiscard]] int quorum_slave_acks_needed() const;
-    /// Recompute the majority watermark from per-slave acks and, when it
-    /// advances, release commits to the master via kQuorumCommit.
-    void recompute_quorum_watermark();
     /// Ask the master to resync a valid-but-stalled lagging slave.
     void request_resync(const NodeEntry& e);
 
@@ -182,14 +164,16 @@ private:
     rdma::ConnectionManager& cm_;
     nic::SmartNic& nic_;
     NicKvConfig cfg_;
+    server::ReliableParams reliable_;
     sim::Rng rng_;
+    /// Built once from the mode handed to the constructor.
+    std::unique_ptr<NicReplication> repl_;
 
     std::vector<NodeEntry> nodes_;
     std::vector<net::ChannelPtr> pending_; // accepted, not yet registered
     int master_idx_ = -1;
     int promoted_idx_ = -1; // slave elevated while the master is down
     std::int64_t fanout_offset_ = 0;
-    std::int64_t quorum_watermark_ = 0;
     std::uint64_t probe_round_ = 0;
     /// Bumped on every (re)start of the probe chain so events scheduled by
     /// a pre-crash chain are ignored after recovery.

@@ -36,10 +36,15 @@ CrashClusterOpts opts_for(ReplicationMode m, int n_slaves = 2) {
     return o;
 }
 
+/// The NIC's chain, head first (its protocol object's view).
+std::vector<std::string> chain_order(Cluster& c) {
+    return dynamic_cast<const NicChain&>(c.nic_kv()->replication()).order();
+}
+
 /// Which slave is the current chain tail (-1 when no chain exists). Node
 /// names in the chain are full "<name>@<ep>" identities.
 int tail_slave_index(Cluster& c) {
-    const auto order = c.nic_kv()->chain_order();
+    const auto order = chain_order(c);
     if (order.empty()) return -1;
     for (int i = 0; i < c.slave_count(); ++i) {
         if (order.back().rfind("slave" + std::to_string(i) + "@", 0) == 0) {
@@ -336,7 +341,7 @@ TEST(ChaosReplChain, DeterministicDoubleRun) {
 // reads (the fleet routes them there) — all under the checker.
 TEST(ChaosReplChain, TailServesLinearizableReads) {
     auto c = make_crash_cluster(61071, opts_for(ReplicationMode::kChain));
-    ASSERT_EQ(c->nic_kv()->chain_order().size(), 2u);
+    ASSERT_EQ(chain_order(*c).size(), 2u);
     Fleet fleet;
     maybe_route_reads(*c, fleet, ReplicationMode::kChain);
     ASSERT_NE(fleet.read_first, SIZE_MAX);
@@ -517,8 +522,11 @@ TEST(ChaosReplQuorum, WatermarkReleasesCommits) {
     EXPECT_GT(c->nic_kv()->stats().counter("quorum_acks"), 0u);
     EXPECT_GT(c->nic_kv()->stats().counter("quorum_commits"), 0u);
     EXPECT_GT(c->master().stats().counter("quorum_commit_updates"), 0u);
-    EXPECT_EQ(c->nic_kv()->quorum_watermark(), c->master().master_offset());
-    EXPECT_GE(c->master().quorum_commit_offset(), c->master().master_offset());
+    const auto& nic = dynamic_cast<const NicQuorum&>(c->nic_kv()->replication());
+    const auto& master =
+        dynamic_cast<const server::QuorumReplication&>(c->master().replication());
+    EXPECT_EQ(nic.watermark(), c->master().master_offset());
+    EXPECT_GE(master.commit_offset(), c->master().master_offset());
 }
 
 // Consistency-trap self-test: with the protocol's signature bug injected

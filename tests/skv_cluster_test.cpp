@@ -26,6 +26,20 @@ TEST(Cluster, BaselineAndSkvBuildTheRightTopology) {
     EXPECT_TRUE(cs.fabric().is_companion(cs.nic_kv()->endpoint()));
 }
 
+TEST(Cluster, SmartNicParamsReachTheArmCores) {
+    ClusterConfig cfg;
+    cfg.n_slaves = 1;
+    cfg.offload = true;
+    cfg.nic_params.arm_cores = 2;
+    cfg.nic_params.core_slowdown = 4.0;
+    Cluster c(cfg);
+    c.start();
+    ASSERT_NE(c.smartnic(), nullptr);
+    EXPECT_EQ(c.smartnic()->core_count(), 2);
+    EXPECT_EQ(c.smartnic()->core(0).speed_factor(), 4.0);
+    EXPECT_EQ(c.smartnic()->core(1).speed_factor(), 4.0);
+}
+
 TEST(Cluster, TcpTransportWorksEndToEnd) {
     ClusterConfig cfg;
     cfg.n_slaves = 1;

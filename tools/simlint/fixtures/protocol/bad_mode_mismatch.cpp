@@ -1,8 +1,8 @@
-// kState is only ever sent in chain mode, but its handler only does real
-// work in quorum mode — in every configuration the message is wasted.
+// simlint:protocol(chain)
+// Two protocol files disagree on a tag: the chain protocol sends kState,
+// but only the quorum protocol's file (bad_mode_mismatch_quorum.cpp)
+// handles it. Under chain nobody listens; under quorum nobody sends.
 #include <string>
-
-enum class ReplicationMode { kChain, kQuorum };
 
 struct NodeMsg {
   enum class Type : char {
@@ -16,10 +16,9 @@ struct NodeMsg {
 struct Stats { void incr(const char*); };
 struct Chan { void send(const std::string&); };
 
-struct Node {
+struct ChainNode {
   Stats stats_;
   Chan ch_;
-  ReplicationMode replication_mode = ReplicationMode::kChain;
   void apply(const NodeMsg& m);
 
   void dispatch(const NodeMsg& m) {
@@ -28,26 +27,17 @@ struct Node {
         apply(m);
         break;
       case NodeMsg::Type::kState:
-        if (replication_mode == ReplicationMode::kQuorum) {
-          apply(m);
-        } else {
-          stats_.incr("unexpected_msgs");
-        }
+        stats_.incr("unexpected_msgs");
         break;
     }
   }
 
   void send_data() { ch_.send(NodeMsg{NodeMsg::Type::kData, 0}.encode()); }
-
-  void send_state() {
-    if (replication_mode == ReplicationMode::kChain) {
-      ch_.send(NodeMsg{NodeMsg::Type::kState, 0}.encode());
-    }
-  }
+  void send_state() { ch_.send(NodeMsg{NodeMsg::Type::kState, 0}.encode()); }
 };
 
 int main() {
-  Node n;
+  ChainNode n;
   n.dispatch(NodeMsg{NodeMsg::Type::kData});
   n.send_data();
   n.send_state();

@@ -1,10 +1,10 @@
+// simlint:protocol(chain)
 // Clean protocol: unique tags, exhaustive dispatch, every sent tag actively
-// handled, mode gates consistent, WSEQ commands with both sides, a pure
-// observe-only helper, and an exhaustive type table.
+// handled, a protocol-owned tag sent and claimed within its protocol's file,
+// WSEQ commands with both sides, a pure observe-only helper, and an
+// exhaustive type table.
 #include <string>
 #include <vector>
-
-enum class ReplicationMode { kFanout, kChain };
 
 struct NodeMsg {
   enum class Type : char {
@@ -29,21 +29,26 @@ struct Chan { void send(const std::string&); };
 struct Node {
   Stats stats_;
   Chan ch_;
-  ReplicationMode replication_mode = ReplicationMode::kFanout;
 
   void apply(const NodeMsg& m);
 
+  // The protocol object's first look at a frame: it claims kPong.
+  bool on_frame(const NodeMsg& m) {
+    if (m.type == NodeMsg::Type::kPong) {
+      apply(m);
+      return true;
+    }
+    return false;
+  }
+
   void dispatch(const NodeMsg& m) {
+    if (on_frame(m)) return;
     switch (m.type) {
       case NodeMsg::Type::kPing:
         apply(m);
         break;
       case NodeMsg::Type::kPong:
-        if (replication_mode == ReplicationMode::kChain) {
-          apply(m);
-        } else {
-          stats_.incr("unexpected_msgs");
-        }
+        stats_.incr("unexpected_msgs");
         break;
       case NodeMsg::Type::kLegacy:
         stats_.incr("unexpected_msgs");
@@ -53,10 +58,7 @@ struct Node {
 
   void send_ping() { ch_.send(NodeMsg{NodeMsg::Type::kPing, 1}.encode()); }
 
-  void send_pong() {
-    if (replication_mode != ReplicationMode::kChain) return;
-    ch_.send(NodeMsg{NodeMsg::Type::kPong, 2}.encode());
-  }
+  void send_pong() { ch_.send(NodeMsg{NodeMsg::Type::kPong, 2}.encode()); }
 
   // simlint:observe-only
   long depth_estimate() const { return 40; }

@@ -6,7 +6,7 @@ surface. Rules:
   duplicate-tag   two NodeMsg::Type enumerators share a wire tag char
   unhandled-tag   a dispatch switch or type table misses an enum value
   dead-send       a tag is sent but never actively handled (or only handled
-                  in replication modes it is never sent in)
+                  in another replication protocol's files)
   dead-handler    an active handler is unreachable from any send site
   repl-command    a WSEQ* replication RESP command lacks a send or handle site
   observe-taint   src/obs/ code or a `// simlint:observe-only` function can
@@ -14,11 +14,13 @@ surface. Rules:
   knob-drift      a field of a KNOB_STRUCTS struct is not mentioned in the
                   knob documentation (EXPERIMENTS.md)
 
-Reachability is computed per `replication_mode`: `if (... replication_mode ==
-ReplicationMode::kX ...)` gates around send sites and handler case bodies are
-interpreted, and entry modes propagate through a unique-name call graph by a
-least fixpoint. The analysis is conservative: unresolvable conditions or
-ambiguous call names widen to "all modes" rather than inventing findings.
+Reachability is scoped by file: a file carrying `// simlint:protocol(<name>)`
+holds one replication protocol's code, which runs only under that protocol;
+every other file is shared code, which runs under all of them. A tag sent from
+one protocol's files but actively handled only in another's is a dead-send
+(and the handler a dead-handler). Active handlers are non-ignored case groups
+of a switch over `Type`, plus `type == Type::kX` comparisons (how a protocol
+object claims its own frames).
 
 Functions marked `// simlint:observe-only` on their definition line or the
 line above are observe-only seeds, like everything under src/obs/.
@@ -27,9 +29,9 @@ line above are observe-only seeds, like everything under src/obs/.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
-from frontend import Finding, SourceFile, match_paren, split_top
+from frontend import Finding, SourceFile, match_paren
 
 RULES = {
     "duplicate-tag": "two NodeMsg::Type values share a wire tag char",
@@ -51,7 +53,7 @@ KNOB_STRUCTS = ("ServerConfig", "NicKvConfig", "RunOptions", "YcsbOptions",
 # ---------------------------------------------------------------------------
 # Function table: file-scope and single-level in-class definitions, found by
 # classifying every `{` from the text between it and the previous delimiter.
-# Bodies give us call sites, send sites, dispatch switches and mode regions.
+# Bodies give us the call sites the observe-taint pass chases.
 
 NOT_A_FUNC = {
     "if", "for", "while", "switch", "return", "else", "do", "catch", "case",
@@ -90,17 +92,8 @@ class Func:
         self.lo = lo      # offset of body '{'
         self.hi = hi      # offset one past body '}'
         self.line = sf.line_of(lo)
-        self.marks: list[frozenset] | None = None
         self.calls: list[tuple[str, int]] = []
         self.annotated = False
-
-    def mark_at(self, off: int, all_modes: frozenset) -> frozenset:
-        if self.marks is None:
-            return all_modes
-        i = off - self.lo
-        if 0 <= i < len(self.marks) and self.marks[i] is not None:
-            return self.marks[i]
-        return all_modes
 
 
 CALL_RE = re.compile(r"(?<![\w:.])([A-Za-z_]\w*)\s*\(")
@@ -160,137 +153,19 @@ def parse_funcs(sf: SourceFile) -> list[Func]:
 
 
 # ---------------------------------------------------------------------------
-# Replication-mode regions. For every function body we compute, per character
-# offset, the set of modes under which that code can execute relative to the
-# function's entry (entry itself is resolved by the call-graph fixpoint).
-
-MODE_TERM_RE = re.compile(
-    r"[\w.\->]*replication_mode\s*([!=]=)\s*[\w:]*?ReplicationMode\s*::\s*(k\w+)"
-)
-IF_RE = re.compile(r"(?<![\w#])if\s*\(")
-
-
-class ModeLogic:
-    def __init__(self, modes: list[str]):
-        self.all = frozenset(modes)
-
-    def _term(self, term: str) -> tuple[frozenset | None, bool]:
-        """(mode set, is-pure-mode-term). Pure means the term is nothing but
-        the mode comparison, so its negation is also known."""
-        t = term.strip()
-        while t.startswith("(") and t.endswith(")") \
-                and match_paren(t, 0) == len(t) - 1:
-            t = t[1:-1].strip()
-        m = MODE_TERM_RE.search(t)
-        if not m:
-            return None, False
-        s = frozenset({m.group(2)}) if m.group(1) == "==" \
-            else self.all - {m.group(2)}
-        pure = MODE_TERM_RE.fullmatch(t) is not None
-        return s, pure
-
-    def branch_sets(self, cond: str) -> tuple[frozenset, frozenset]:
-        """(guaranteed-false set GF, guaranteed-true set GT) of modes.
-        then-branch modes = cur - GF; else-branch modes = cur - GT."""
-        if "?" in cond or re.search(r"!\s*\(", cond):
-            return frozenset(), frozenset()  # opaque — no narrowing
-        gf = set(self.all)
-        gt: set = set()
-        for disjunct in split_top(cond, "||"):
-            t = set(self.all)
-            fully_pure = True
-            saw_mode = False
-            for conj in split_top(disjunct, "&&"):
-                s, pure = self._term(conj)
-                if s is not None:
-                    t &= s
-                    saw_mode = True
-                if not pure:
-                    fully_pure = False
-            # If any mode conjunct exists, the disjunct is false outside t.
-            gf &= (set(self.all) - t) if saw_mode else set()
-            # Guaranteed true only when every conjunct is a pure mode term.
-            if fully_pure and saw_mode:
-                gt |= t
-        return frozenset(gf), frozenset(gt)
-
-
-RETURN_TAIL_RE = re.compile(r"\breturn\b[^;{}]*;\s*\}?\s*$")
-
-
-def compute_marks(f: Func, logic: ModeLogic) -> None:
-    text = f.sf.text
-    marks: list[frozenset | None] = [None] * (f.hi - f.lo)
-
-    def set_range(a: int, b: int, cur: frozenset) -> None:
-        for i in range(max(a, f.lo), min(b, f.hi)):
-            marks[i - f.lo] = cur
-
-    def skip_ws(i: int) -> int:
-        while i < f.hi and text[i].isspace():
-            i += 1
-        return i
-
-    def body_span(i: int) -> tuple[int, int]:
-        i = skip_ws(i)
-        if i < f.hi and text[i] == "{":
-            return i, match_paren(text, i) + 1
-        j = text.find(";", i, f.hi)
-        return i, (j + 1 if j >= 0 else f.hi)
-
-    def parse_if(p: int, cur: frozenset) -> tuple[int, frozenset]:
-        """Parse the if/else-if/else chain at p; fill bodies; return
-        (end offset, mode set after the statement)."""
-        op = text.find("(", p)
-        cp = match_paren(text, op)
-        gf, gt = logic.branch_sets(text[op + 1:cp])
-        then_set, else_set = cur - gf, cur - gt
-        blo, bhi = body_span(cp + 1)
-        fill_region(blo, bhi, then_set)
-        k = skip_ws(bhi)
-        if text.startswith("else", k) and not (
-                k + 4 < f.hi and (text[k + 4].isalnum() or text[k + 4] == "_")):
-            k2 = skip_ws(k + 4)
-            if IF_RE.match(text, k2):
-                end, _ = parse_if(k2, else_set)
-                return end, cur
-            elo, ehi = body_span(k2)
-            fill_region(elo, ehi, else_set)
-            return ehi, cur
-        # No else: an unconditional return in the then-branch narrows the
-        # fall-through to the else set.
-        if RETURN_TAIL_RE.search(text[blo:bhi].strip()):
-            return bhi, else_set
-        return bhi, cur
-
-    def fill_region(a: int, b: int, cur: frozenset) -> None:
-        set_range(a, b, cur)
-        i = a
-        while i < b:
-            m = IF_RE.search(text, i, b)
-            if not m:
-                return
-            end, cur2 = parse_if(m.start(), cur)
-            if cur2 != cur:
-                cur = cur2
-                set_range(end, b, cur)
-            i = max(end, m.start() + 2)
-
-    fill_region(f.lo, f.hi, logic.all)
-    f.marks = marks
-
-# ---------------------------------------------------------------------------
 # Protocol surface extraction.
 
 ENUM_TYPE_RE = re.compile(r"\benum\s+class\s+Type\s*:\s*char\s*\{")
 ENUM_ENTRY_RE = re.compile(r"\b(k\w+)\s*=\s*'(\\?[^'])'")
-MODE_ENUM_RE = re.compile(r"\benum\s+class\s+ReplicationMode\b[^{;]*\{")
 SEND_RE = re.compile(
     r"\bNodeMsg(?:\s+\w+)?\s*\{\s*(?:[\w:]+::)?\s*Type\s*::\s*(k\w+)")
 CASE_RE = re.compile(r"\bcase\s+(?:[\w:]+::)?\s*Type\s*::\s*(k\w+)\s*:")
+CMP_RE = re.compile(r"\btype\s*==\s*(?:[\w:]+::)?\s*Type\s*::\s*(k\w+)")
+PROTOCOL_RE = re.compile(r"//\s*simlint:protocol\((\w+)\)")
 LABEL_RE = re.compile(
     r"\bcase\s+(?:[\w:]+::)?\s*Type\s*::\s*(k\w+)\s*:|\bdefault\s*:")
 SWITCH_RE = re.compile(r"\bswitch\s*\(")
+IF_RE = re.compile(r"(?<![\w#])if\s*\(")
 TYPE_TABLE_RE = re.compile(r"\bType\s+(k?\w+)\s*\[[^\]]*\]\s*=\s*\{")
 STATS_RE = re.compile(r"\bstats_?\s*\.\s*incr\s*\(")
 WSEQ_RE = re.compile(r'"(WSEQ[A-Z0-9]*)"')
@@ -299,12 +174,8 @@ WSEQ_SEND_RE = re.compile(
     r'(?:emplace_back|push_back)\s*\(\s*"(WSEQ[A-Z0-9]*)"|\{\s*"(WSEQ[A-Z0-9]*)"')
 
 
-class CaseGroup:
-    def __init__(self, tags, line, modes, ignore):
-        self.tags = tags        # list of kTag names (empty for default-only)
-        self.line = line
-        self.modes = modes      # frozenset of modes, meaningful when active
-        self.ignore = ignore
+# tags: kTag names (empty for default-only); ignore: the body takes no action
+CaseGroup = namedtuple("CaseGroup", "tags line ignore")
 
 
 class Dispatcher:
@@ -345,7 +216,13 @@ def _blank_nonactions(body: str) -> str:
     return out
 
 
-def parse_dispatchers(sf, funcs, entry, logic):
+def protocol_of(sf) -> str | None:
+    """The file's `// simlint:protocol(<name>)`, or None for shared code."""
+    m = PROTOCOL_RE.search("\n".join(sf.raw))
+    return m.group(1) if m else None
+
+
+def parse_dispatchers(sf):
     """All switches over NodeMsg::Type in this file."""
     text = sf.text
     out = []
@@ -374,12 +251,6 @@ def parse_dispatchers(sf, funcs, entry, logic):
                   for m in LABEL_RE.finditer(body) if depth[m.start()] == 1]
         if not labels:
             continue
-        host = None
-        for f in funcs:
-            if f.sf is sf and f.lo <= sm.start() < f.hi:
-                host = f
-                break
-        host_entry = entry.get(host, logic.all) if host else logic.all
         groups = []
         i = 0
         while i < len(labels):
@@ -397,20 +268,10 @@ def parse_dispatchers(sf, funcs, entry, logic):
                 break
             gb_lo = labels[j][1]
             gb_hi = labels[j + 1][0] if j + 1 < len(labels) else len(body) - 1
-            actions = _blank_nonactions(body[gb_lo:gb_hi])
-            act_offsets = [gb_lo + k for k, c in enumerate(actions)
-                           if not c.isspace()]
-            ignore = not act_offsets
-            modes = frozenset()
-            if host and not ignore:
-                for off in act_offsets:
-                    modes |= host.mark_at(bo + off, logic.all)
-                modes &= host_entry
-            elif not ignore:
-                modes = logic.all
+            ignore = not _blank_nonactions(body[gb_lo:gb_hi]).strip()
             if tags or not ignore:
                 groups.append(CaseGroup(
-                    tags, sf.line_of(bo + labels[i][0]), modes, ignore))
+                    tags, sf.line_of(bo + labels[i][0]), ignore))
             i = j + 1
         out.append(Dispatcher(sf, sf.line_of(sm.start()), groups))
     return out
@@ -434,7 +295,12 @@ SINK_RES = [
 ]
 
 
-def taint_pass(funcs, unique, findings):
+def taint_pass(files, findings):
+    funcs = [f for sf in files for f in parse_funcs(sf)]
+    by_name = defaultdict(list)
+    for f in funcs:
+        by_name[f.name].append(f)
+    unique = {n: fs[0] for n, fs in by_name.items() if len(fs) == 1}
     direct = {}
     for f in funcs:
         body = f.sf.text[f.lo:f.hi]
@@ -561,54 +427,10 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                     by_char.setdefault(ch, name)
     enum_set = set(enum_values)
 
-    # --- replication modes ------------------------------------------------
-    modes = []
-    for sf in files:
-        mm = MODE_ENUM_RE.search(sf.text)
-        if mm:
-            bo = sf.text.index("{", mm.start())
-            bc = match_paren(sf.text, bo)
-            modes = re.findall(r"\bk\w+", sf.text[bo:bc])
-            break
-    if not modes:
-        modes = ["kAnyMode"]
-    logic = ModeLogic(modes)
-
-    # --- function table + entry-mode fixpoint -----------------------------
-    funcs: list[Func] = []
-    for sf in files:
-        funcs.extend(parse_funcs(sf))
-    by_name = defaultdict(list)
-    for f in funcs:
-        by_name[f.name].append(f)
-    unique = {n: fs[0] for n, fs in by_name.items() if len(fs) == 1}
-    for f in funcs:
-        compute_marks(f, logic)
-    callsites = defaultdict(list)
-    for caller in funcs:
-        for name, off in caller.calls:
-            tgt = unique.get(name)
-            if tgt is not None and tgt is not caller:
-                callsites[tgt].append((caller, off))
-    entry = {f: (frozenset() if callsites[f] else logic.all) for f in funcs}
-    for _ in range(40):
-        changed = False
-        for f in funcs:
-            if not callsites[f]:
-                continue
-            s = frozenset()
-            for caller, off in callsites[f]:
-                s |= entry[caller] & caller.mark_at(off, logic.all)
-            if s != entry[f]:
-                entry[f] = s
-                changed = True
-        if not changed:
-            break
-
     # --- dispatchers, tables, sends ---------------------------------------
     dispatchers = []
     for sf in files:
-        dispatchers.extend(parse_dispatchers(sf, funcs, entry, logic))
+        dispatchers.extend(parse_dispatchers(sf))
     tables = []  # (sf, line, covered set)
     for sf in files:
         for tm in TYPE_TABLE_RE.finditer(sf.text):
@@ -618,19 +440,15 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                                      sf.text[bo:bc]))
             if covered:
                 tables.append((sf, sf.line_of(tm.start()), covered))
-    sends = defaultdict(list)  # tag -> [(sf, line, modes)]
+    # Send and handler sites carry their file's protocol (None = shared).
+    sends = defaultdict(list)  # tag -> [(sf, line, protocol)]
+    active = defaultdict(list)  # tag -> [(sf, line, protocol)]
     for sf in files:
+        proto = protocol_of(sf)
         for m in SEND_RE.finditer(sf.text):
-            host = None
-            for f in funcs:
-                if f.sf is sf and f.lo <= m.start() < f.hi:
-                    host = f
-                    break
-            if host:
-                mset = entry[host] & host.mark_at(m.start(), logic.all)
-            else:
-                mset = logic.all
-            sends[m.group(1)].append((sf, sf.line_of(m.start()), mset))
+            sends[m.group(1)].append((sf, sf.line_of(m.start()), proto))
+        for m in CMP_RE.finditer(sf.text):
+            active[m.group(1)].append((sf, sf.line_of(m.start()), proto))
 
     # --- unhandled-tag ----------------------------------------------------
     if enum_set:
@@ -648,7 +466,6 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                     "type table misses " + ", ".join(missing)))
 
     # --- dead-send / dead-handler ----------------------------------------
-    active = defaultdict(list)  # tag -> [(sf, line, modes)]
     cased = set()
     for d in dispatchers:
         if d.is_table:
@@ -658,7 +475,7 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
             cased |= set(g.tags)
             if not g.ignore:
                 for t in g.tags:
-                    active[t].append((d.sf, g.line, g.modes))
+                    active[t].append((d.sf, g.line, protocol_of(d.sf)))
     for tag in sorted(enum_set | set(sends) | set(active)):
         ssites = sends.get(tag, [])
         handlers = active.get(tag, [])
@@ -672,25 +489,26 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                                         f"{tag} is sent but {detail}"))
             continue
         if ssites and handlers:
-            s_total = frozenset().union(*[m for _, _, m in ssites])
-            h_total = frozenset().union(*[m for _, _, m in handlers])
-            uncovered = s_total - h_total
-            if s_total and uncovered:
-                for sf, line, m in ssites:
-                    if m & uncovered and not sf.suppressed(line, "dead-send"):
-                        findings.append(Finding(
-                            sf.path, line, "dead-send",
-                            f"{tag} sent in mode(s) "
-                            f"{', '.join(sorted(m & uncovered))} where no "
-                            f"active handler is reachable"))
-            for sf, line, h in handlers:
-                if h and s_total and not (h & s_total) \
+            # Shared code runs under every protocol, so a shared site on
+            # the other side covers any protocol file.
+            s_protos = {p for _, _, p in ssites}
+            h_protos = {p for _, _, p in handlers}
+            for sf, line, p in ssites:
+                if None not in h_protos and p not in h_protos \
+                        and not sf.suppressed(line, "dead-send"):
+                    findings.append(Finding(
+                        sf.path, line, "dead-send",
+                        f"{tag} sent from {p or 'shared'} code but handled "
+                        f"only in {', '.join(sorted(h_protos))} protocol "
+                        f"files"))
+            for sf, line, p in handlers:
+                if None not in s_protos and p is not None \
+                        and p not in s_protos \
                         and not sf.suppressed(line, "dead-handler"):
                     findings.append(Finding(
                         sf.path, line, "dead-handler",
-                        f"{tag} handler only reachable in "
-                        f"{', '.join(sorted(h))} but the tag is sent only in "
-                        f"{', '.join(sorted(s_total))}"))
+                        f"{tag} handled in {p} protocol files but sent only "
+                        f"from {', '.join(sorted(s_protos))} protocol files"))
         if not ssites and handlers:
             for sf, line, _ in handlers:
                 if not sf.suppressed(line, "dead-handler"):
@@ -723,7 +541,7 @@ def check(files: list[SourceFile], doc_text: str | None) -> list[Finding]:
                         f"{other} site"))
 
     # --- observe-taint ----------------------------------------------------
-    taint_pass(funcs, unique, findings)
+    taint_pass(files, findings)
 
     # --- knob-drift -------------------------------------------------------
     if doc_text is not None:

@@ -170,12 +170,13 @@ expect("dead-handler names the never-sent tag",
        "kGhost" in out and "no send site" in out, out)
 expect("dead-handler does not flag the live tag", "kLive" not in out, out)
 
-out = check_bad("protocol/bad_mode_mismatch.cpp", "dead-send")
-expect("mode mismatch: send side names the orphaned mode",
-       "kState sent in mode(s) kChain" in out, out)
+out = check_bad("protocol/bad_mode_mismatch.cpp", "dead-send", 1,
+                str(FIXTURES / "protocol" / "bad_mode_mismatch_quorum.cpp"))
+expect("mode mismatch: send side names the sending protocol",
+       "kState sent from chain code but handled only in quorum" in out, out)
 expect("mode mismatch: handler side also flagged",
-       "[dead-handler]" in out and "only reachable in kQuorum" in out, out)
-expect("mode mismatch: ungated tag stays clean", "kData" not in out, out)
+       "[dead-handler]" in out and "kState handled in quorum" in out, out)
+expect("mode mismatch: the shared tag stays clean", "kData" not in out, out)
 
 out = check_bad("protocol/bad_repl_command.cpp", "repl-command")
 expect("repl-command names the orphaned command and missing side",
