@@ -168,21 +168,9 @@ CrashVariantResult run_master_crash_variant(server::ReplicationMode mode) {
     cluster.start();
     auto& s = cluster.sim();
 
-    std::vector<workload::RetryClient::Target> targets;
-    targets.push_back(
-        {cluster.master().node().ep, cluster.master().config().port});
-    for (int i = 0; i < cluster.slave_count(); ++i) {
-        targets.push_back(
-            {cluster.slave(i).node().ep, cluster.slave(i).config().port});
-    }
-    auto dial = [&cluster](net::NodeRef from, workload::RetryClient::Target t,
-                           std::function<void(net::ChannelPtr)> cb) {
-        cluster.cm().connect(from, t.ep, t.port, std::move(cb));
-    };
     workload::RetryPolicy pol;
     pol.attempt_timeout = sim::milliseconds(100);
     pol.op_deadline = sim::seconds(8);
-    pol.turnaround = sim::milliseconds(2);
 
     check::History hist;
     std::vector<std::shared_ptr<workload::RetryClient>> clients;
@@ -196,11 +184,11 @@ CrashVariantResult run_master_crash_variant(server::ReplicationMode mode) {
         workload::Generator gen(spec, s.fork_rng());
         auto node = cluster.add_client_host("av" + std::to_string(i));
         clients.push_back(std::make_shared<workload::RetryClient>(
-            s, cluster.costs(), node, 100 + static_cast<std::uint64_t>(i),
-            std::move(gen), pol, targets, dial, &hist));
+            cluster, node, 100 + static_cast<std::uint64_t>(i),
+            std::move(gen), pol, &hist));
     }
     // Time-bounded, not count-bounded: stop() below ends the run.
-    for (auto& cl : clients) cl->start(1'000'000);
+    for (auto& cl : clients) cl->start(1'000'000, sim::milliseconds(2));
 
     const auto t0 = s.now();
     s.run_until(t0 + sim::seconds(3));

@@ -99,14 +99,15 @@ net::NodeRef Cluster::add_client_host(const std::string& name) {
     return net::NodeRef{ep, cores_.back().get()};
 }
 
-void Cluster::connect_client(net::NodeRef from,
-                             std::function<void(net::ChannelPtr)> cb) {
+void Cluster::connect(net::NodeRef from, int idx,
+                      std::function<void(net::ChannelPtr)> cb) {
+    SKV_CHECK(idx >= 0 && idx < server_count());
+    const server::KvServer& s =
+        idx == 0 ? *master_ : *slaves_[static_cast<std::size_t>(idx - 1)];
     if (cfg_.transport == server::Transport::kTcp) {
-        tcp_.connect(from, master_->node().ep, master_->config().port,
-                     std::move(cb));
+        tcp_.connect(from, s.node().ep, s.config().port, std::move(cb));
     } else {
-        cm_.connect(from, master_->node().ep, master_->config().port,
-                    std::move(cb));
+        cm_.connect(from, s.node().ep, s.config().port, std::move(cb));
     }
 }
 

@@ -69,10 +69,19 @@ public:
     /// Create an additional host (with its own core) for load generators.
     net::NodeRef add_client_host(const std::string& name);
 
-    /// Open a client connection to the master over the configured
-    /// transport; `cb` receives the channel when established.
+    /// Servers a client can dial, in client target order: the master,
+    /// then each slave.
+    [[nodiscard]] int server_count() const { return 1 + slave_count(); }
+    /// Open a client connection to server `idx` in client target order
+    /// (0 = master, 1 + i = slave i) over the configured transport (TCP
+    /// stack or RDMA CM); `cb` receives the channel when established.
+    void connect(net::NodeRef from, int idx,
+                 std::function<void(net::ChannelPtr)> cb);
+    /// connect() to the master.
     void connect_client(net::NodeRef from,
-                        std::function<void(net::ChannelPtr)> cb);
+                        std::function<void(net::ChannelPtr)> cb) {
+        connect(from, 0, std::move(cb));
+    }
 
     /// True once every slave has applied the full master stream.
     [[nodiscard]] bool converged() const;

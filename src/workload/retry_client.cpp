@@ -12,24 +12,22 @@ bool has_prefix(const std::string& s, std::string_view prefix) {
 }
 } // namespace
 
-RetryClient::RetryClient(sim::Simulation& sim, const cpu::CostModel& costs,
-                         net::NodeRef node, std::uint64_t client_id,
-                         Generator gen, RetryPolicy policy,
-                         std::vector<Target> targets, DialFn dial,
+RetryClient::RetryClient(offload::Cluster& cluster, net::NodeRef node,
+                         std::uint64_t client_id, Generator gen,
+                         std::optional<RetryPolicy> policy,
                          check::History* history)
-    : sim_(sim), costs_(costs), node_(node), client_id_(client_id),
-      gen_(std::move(gen)), policy_(std::move(policy)),
-      targets_(std::move(targets)), dial_(std::move(dial)),
-      history_(history), rng_(sim.fork_rng()),
-      channels_(targets_.size()), parsers_(targets_.size()) {
-    SKV_CHECK(!targets_.empty());
-    SKV_CHECK(dial_ != nullptr);
-}
+    : cluster_(cluster), sim_(cluster.sim()), costs_(cluster.costs()),
+      node_(node), client_id_(client_id), gen_(std::move(gen)),
+      policy_(std::move(policy)), history_(history),
+      rng_(sim_.fork_rng()),
+      channels_(static_cast<std::size_t>(cluster.server_count())),
+      parsers_(channels_.size()) {}
 
-void RetryClient::start(std::uint64_t ops) {
+void RetryClient::start(std::uint64_t ops, sim::Duration turnaround) {
     SKV_CHECK(!running_ && !op_active_);
     running_ = true;
     remaining_ = ops;
+    turnaround_ = turnaround;
     next_op();
 }
 
@@ -44,15 +42,7 @@ void RetryClient::issue(DrivenOp op, DoneFn done) {
     op_value_ = std::move(op.value);
     op_scan_keys_ = std::move(op.scan_keys);
     op_done_ = std::move(done);
-    if (op_type_ == check::OpType::kRead && read_first_ < targets_.size()) {
-        cur_ = read_first_;
-    }
-    op_invoke_ns_ = sim_.now().ns();
-    op_deadline_at_ = sim_.now() + policy_.op_deadline;
-    op_attempts_ = 0;
-    maybe_applied_ = false;
-    op_active_ = true;
-    attempt();
+    begin_op();
 }
 
 void RetryClient::next_op() {
@@ -64,19 +54,27 @@ void RetryClient::next_op() {
     op_key_ = argv.at(1);
     if (argv[0] == "SET") {
         op_type_ = check::OpType::kWrite;
-        // Unique per-(client, op) value so the checker can attribute every
-        // observed read to exactly one write.
-        op_value_ = "c" + std::to_string(client_id_) + "#" +
-                    std::to_string(op_seq_);
+        // A recorded history needs a unique per-(client, op) value so the
+        // checker can attribute every observed read to exactly one write.
+        op_value_ = history_ != nullptr
+                        ? "c" + std::to_string(client_id_) + "#" +
+                              std::to_string(op_seq_)
+                        : std::move(argv.at(2));
     } else {
         op_type_ = check::OpType::kRead;
         op_value_.clear();
-        // Protocol-aware routing: aim the first read attempt at the
-        // configured target (chain tail); retries rotate as usual.
-        if (read_first_ < targets_.size()) cur_ = read_first_;
+    }
+    begin_op();
+}
+
+void RetryClient::begin_op() {
+    // Protocol-aware routing: aim a read's first attempt at the configured
+    // target (chain tail); retries rotate as usual.
+    if (op_type_ == check::OpType::kRead && read_first_ < channels_.size()) {
+        cur_ = read_first_;
     }
     op_invoke_ns_ = sim_.now().ns();
-    op_deadline_at_ = sim_.now() + policy_.op_deadline;
+    if (policy_) op_deadline_at_ = sim_.now() + policy_->op_deadline;
     op_attempts_ = 0;
     maybe_applied_ = false;
     op_active_ = true;
@@ -90,13 +88,16 @@ void RetryClient::attempt() {
     attempt_sent_ = false;
     const std::uint64_t epoch = ++attempt_epoch_;
 
-    // The attempt timer covers the whole attempt (dial included) and is
-    // clamped so the op can never outlive its deadline.
-    sim::Duration window = policy_.attempt_timeout;
-    const sim::Duration left = op_deadline_at_ - sim_.now();
-    if (left < window) window = left;
-    auto self = shared_from_this();
-    sim_.after(window, [self, epoch]() { self->on_attempt_timeout(epoch); });
+    if (policy_) {
+        // The attempt timer covers the whole attempt (dial included) and is
+        // clamped so the op can never outlive its deadline.
+        sim::Duration window = policy_->attempt_timeout;
+        const sim::Duration left = op_deadline_at_ - sim_.now();
+        if (left < window) window = left;
+        auto self = shared_from_this();
+        sim_.after(window,
+                   [self, epoch]() { self->on_attempt_timeout(epoch); });
+    }
 
     const std::size_t tidx = cur_;
     if (channels_[tidx] && channels_[tidx]->open()) {
@@ -106,7 +107,8 @@ void RetryClient::attempt() {
     channels_[tidx].reset();
     parsers_[tidx].reset();
     std::weak_ptr<RetryClient> weak = weak_from_this();
-    dial_(node_, targets_[tidx], [weak, epoch, tidx](net::ChannelPtr ch) {
+    cluster_.connect(
+        node_, static_cast<int>(tidx), [weak, epoch, tidx](net::ChannelPtr ch) {
         auto locked = weak.lock();
         if (!locked || !ch) {
             if (ch) ch->close();
@@ -134,7 +136,9 @@ void RetryClient::attempt() {
 
 void RetryClient::send_on(std::size_t tidx) {
     std::vector<std::string> argv;
-    if (op_type_ == check::OpType::kWrite) {
+    if (op_type_ == check::OpType::kWrite && !policy_) {
+        argv = {"SET", op_key_, op_value_};
+    } else if (op_type_ == check::OpType::kWrite) {
         argv = {"WSEQ",  std::to_string(client_id_), std::to_string(op_seq_),
                 "SET",   op_key_,                    op_value_};
     } else if (!op_scan_keys_.empty()) {
@@ -179,6 +183,11 @@ void RetryClient::handle_reply(const kv::resp::Value& v) {
     node_.core->consume(costs_.jittered(rng_, costs_.cmd_parse));
     if (tracer_ != nullptr && tracer_->enabled() && channels_[cur_]) {
         tracer_->flow_complete(channels_[cur_]->flow_id());
+    }
+    if (!policy_ && v.is_error()) {
+        // No policy, no retry: any error reply fails the op.
+        finalize(check::Outcome::kFail, false, "");
+        return;
     }
 
     if (op_type_ == check::OpType::kRead) {
@@ -252,7 +261,7 @@ void RetryClient::on_attempt_timeout(std::uint64_t epoch) {
 
 void RetryClient::retry(bool rotate) {
     ++retries_;
-    if (rotate) cur_ = (cur_ + 1) % targets_.size();
+    if (rotate) cur_ = (cur_ + 1) % channels_.size();
     const sim::Duration delay = next_backoff();
     if (sim_.now() + delay >= op_deadline_at_) {
         // Deadline: explicit completion, never a hang.
@@ -310,20 +319,23 @@ void RetryClient::finalize(check::Outcome outcome, bool found,
         done(outcome);
         return;
     }
+    if (on_complete_) {
+        on_complete_(outcome, sim::Duration(sim_.now().ns() - op_invoke_ns_));
+    }
     auto self = shared_from_this();
-    sim_.after(costs_.jittered(rng_, policy_.turnaround),
+    sim_.after(costs_.jittered(rng_, turnaround_),
                [self]() { self->next_op(); });
 }
 
 sim::Duration RetryClient::next_backoff() {
     // base * 2^(attempts-1), capped, then jittered by +/- jitter_frac.
-    std::int64_t ns = policy_.backoff_base.ns();
-    for (int i = 1; i < op_attempts_ && ns < policy_.backoff_cap.ns(); ++i) {
+    std::int64_t ns = policy_->backoff_base.ns();
+    for (int i = 1; i < op_attempts_ && ns < policy_->backoff_cap.ns(); ++i) {
         ns *= 2;
     }
-    if (ns > policy_.backoff_cap.ns()) ns = policy_.backoff_cap.ns();
+    if (ns > policy_->backoff_cap.ns()) ns = policy_->backoff_cap.ns();
     const double jitter =
-        1.0 + policy_.jitter_frac * (2.0 * rng_.next_double() - 1.0);
+        1.0 + policy_->jitter_frac * (2.0 * rng_.next_double() - 1.0);
     return sim::Duration(ns).scaled(jitter);
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "net/channel.hpp"
 #include "obs/tracer.hpp"
 #include "sim/simulation.hpp"
+#include "skv/cluster.hpp"
 #include "workload/generator.hpp"
 
 namespace skv::workload {
@@ -34,16 +36,21 @@ struct RetryPolicy {
     sim::Duration backoff_base{sim::milliseconds(10)};
     sim::Duration backoff_cap{sim::milliseconds(320)};
     double jitter_frac = 0.25;
-    /// Client-side pacing between consecutive operations.
-    sim::Duration turnaround{sim::microseconds(20)};
 };
 
-/// A sequential (one op at a time) client that survives node crashes:
-/// it retries over a rotation of targets (master first, then the slaves,
-/// so failover promotions are discovered by probing), tags every write
-/// with a per-client sequence token ("WSEQ <client> <seq>") for server-
-/// side duplicate suppression, and records every completed operation in
-/// a check::History for the linearizability gate.
+/// The one load-generator connection: sequential (one op at a time),
+/// dialing the cluster's servers in client target order (master first,
+/// then the slaves, see Cluster::connect).
+///
+/// Without a RetryPolicy it is a redis-benchmark connection, as the
+/// figures use: one attempt per op on the master, a plain `SET key value`
+/// or `GET key`, no attempt timer; an error reply fails the op.
+///
+/// With a policy it survives node crashes: it retries over the rotation
+/// of targets (so failover promotions are discovered by probing), tags
+/// every write with a per-client sequence token ("WSEQ <client> <seq>")
+/// for server-side duplicate suppression, and, given a check::History,
+/// records every completed operation for the linearizability gate.
 ///
 /// Outcome contract (see check::Outcome): kOk only on a success reply;
 /// kFail only when every attempt was answered by an error known not to
@@ -51,25 +58,21 @@ struct RetryPolicy {
 /// answered — the write may have been applied.
 class RetryClient : public std::enable_shared_from_this<RetryClient> {
 public:
-    struct Target {
-        net::EndpointId ep = net::kInvalidEndpoint;
-        std::uint16_t port = 0;
-    };
-    /// Opens a channel from `from` to the target; the callback receives
-    /// the channel once established (and may never fire if the target is
-    /// down — the attempt timer covers the dial).
-    using DialFn = std::function<void(net::NodeRef, Target,
-                                      std::function<void(net::ChannelPtr)>)>;
+    RetryClient(offload::Cluster& cluster, net::NodeRef node,
+                std::uint64_t client_id, Generator gen,
+                std::optional<RetryPolicy> policy, check::History* history);
 
-    RetryClient(sim::Simulation& sim, const cpu::CostModel& costs,
-                net::NodeRef node, std::uint64_t client_id, Generator gen,
-                RetryPolicy policy, std::vector<Target> targets, DialFn dial,
-                check::History* history);
-
-    /// Issue `ops` operations (then go idle). Must be called once.
-    void start(std::uint64_t ops);
+    /// Self-paced mode: issue `ops` operations drawn from the client's own
+    /// Generator, each `turnaround` (jittered) after the previous one
+    /// completes, then go idle. Must be called once.
+    void start(std::uint64_t ops, sim::Duration turnaround);
     /// Stop issuing new ops; an in-flight op still runs to completion.
     void stop() { running_ = false; }
+
+    /// Invoked as each self-paced op completes, with its outcome and its
+    /// latency from invocation to completion.
+    using CompletionFn = std::function<void(check::Outcome, sim::Duration)>;
+    void set_on_complete(CompletionFn fn) { on_complete_ = std::move(fn); }
 
     /// One externally-supplied operation for the driver-paced (open-loop)
     /// mode: the client does not draw from its own Generator or pace
@@ -90,8 +93,9 @@ public:
     /// with start() on the same client.
     void issue(DrivenOp op, DoneFn done);
 
-    /// Wire the cluster tracer so driven ops stamp issue/completion against
-    /// their channel's flow id (same contract as BenchClient::set_tracer).
+    /// Wire the cluster tracer; `track_name` labels this client's row in
+    /// the chrome trace. Each issue/completion is stamped against the
+    /// channel's flow id so per-stage request latency can be correlated.
     void set_tracer(obs::Tracer* tracer, const std::string& track_name) {
         tracer_ = tracer;
         obs_track_ = tracer != nullptr ? tracer->track(track_name) : UINT32_MAX;
@@ -118,6 +122,7 @@ public:
 
 private:
     void next_op();
+    void begin_op();
     void attempt();
     void send_on(std::size_t tidx);
     void on_channel_message(std::size_t tidx, const std::string& payload);
@@ -127,14 +132,13 @@ private:
     void finalize(check::Outcome outcome, bool found, std::string value);
     [[nodiscard]] sim::Duration next_backoff();
 
+    offload::Cluster& cluster_;
     sim::Simulation& sim_;
     const cpu::CostModel& costs_;
     net::NodeRef node_;
     std::uint64_t client_id_;
     Generator gen_;
-    RetryPolicy policy_;
-    std::vector<Target> targets_;
-    DialFn dial_;
+    std::optional<RetryPolicy> policy_;
     check::History* history_;
     sim::Rng rng_;
 
@@ -170,6 +174,8 @@ private:
 
     bool running_ = false;
     std::uint64_t remaining_ = 0;
+    sim::Duration turnaround_{};
+    CompletionFn on_complete_;
     std::uint64_t ops_ok_ = 0;
     std::uint64_t ops_failed_ = 0;
     std::uint64_t ops_timed_out_ = 0;

@@ -1,10 +1,12 @@
 #include "workload/runner.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "kv/object.hpp"
-#include "workload/client.hpp"
+#include "workload/retry_client.hpp"
 
 namespace skv::workload {
 
@@ -112,50 +114,64 @@ RunResult run_workload(offload::Cluster& cluster, const RunOptions& opts) {
 
     // All clients live on one load-generator host, as redis-benchmark does.
     const net::NodeRef client_host = cluster.add_client_host("loadgen");
-    std::vector<std::shared_ptr<BenchClient>> clients;
+    std::vector<std::shared_ptr<RetryClient>> clients;
     clients.reserve(static_cast<std::size_t>(opts.clients));
 
-    // Timeline bookkeeping.
-    auto timeline = std::make_shared<ThroughputTimeline>(opts.timeline_bin,
-                                                         opts.measure);
-    sim::SimTime measure_start = sim::SimTime::zero();
+    // What the completion callbacks feed. Shared: a reply still in flight
+    // when the window closes completes after this function has returned.
+    struct Tally {
+        explicit Tally(const RunOptions& o)
+            : timeline(o.timeline_bin, o.measure),
+              hists(static_cast<std::size_t>(o.clients)) {}
+        bool recording = false;
+        sim::SimTime measure_start = sim::SimTime::zero();
+        ThroughputTimeline timeline;
+        std::vector<sim::LatencyHistogram> hists; // one per client
+        std::uint64_t ops = 0;
+        std::uint64_t errors = 0;
+    };
+    auto tally = std::make_shared<Tally>(opts);
 
     obs::Tracer& tracer = cluster.tracer();
     if (opts.trace_stages) tracer.set_enabled(true);
 
     for (int i = 0; i < opts.clients; ++i) {
-        auto client = std::make_shared<BenchClient>(
-            sim, cluster.costs(), client_host,
-            Generator(opts.spec, sim.fork_rng()), opts.client_turnaround);
+        auto client = std::make_shared<RetryClient>(
+            cluster, client_host, static_cast<std::uint64_t>(i),
+            Generator(opts.spec, sim.fork_rng()), std::nullopt,
+            /*history=*/nullptr);
         if (opts.trace_stages) {
             client->set_tracer(&tracer, "client/" + std::to_string(i));
         }
-        if (timeline->enabled()) {
-            client->set_completion_hook(
-                [timeline, &measure_start, &sim](sim::Duration) {
-                    timeline->record(sim.now() - measure_start);
-                });
-        }
-        clients.push_back(client);
-        cluster.connect_client(client_host, [client](net::ChannelPtr ch) {
-            if (ch) client->attach(std::move(ch));
+        client->set_on_complete([tally, i, &sim](check::Outcome o,
+                                                 sim::Duration latency) {
+            if (o != check::Outcome::kOk) ++tally->errors;
+            if (!tally->recording) return;
+            ++tally->ops;
+            tally->hists[static_cast<std::size_t>(i)].record(latency);
+            tally->timeline.record(sim.now() - tally->measure_start);
         });
+        // Start inside the loop: dialing forks the simulation RNG, so the
+        // forks stay interleaved client by client. Time-bounded: stop()
+        // below ends the run.
+        client->start(UINT64_MAX, opts.client_turnaround);
+        clients.push_back(std::move(client));
     }
 
-    // Warmup, then flip every client to recording.
+    // Warmup, then start recording.
     sim.run_until(sim.now() + opts.warmup);
-    measure_start = sim.now();
+    tally->measure_start = sim.now();
     const double busy_before =
         static_cast<double>(cluster.master().node().core->total_busy().ns());
     // Snapshot the exact per-stage accumulators so the breakdown covers
     // only the measurement window (matched request populations).
     StageWindow stage_window;
     stage_window.begin(tracer);
-    for (auto& c : clients) c->set_recording(true);
+    tally->recording = true;
 
     // Scripted faults (Fig. 14).
     for (const auto& f : opts.faults) {
-        sim.at(measure_start + f.at, [&cluster, f]() {
+        sim.at(tally->measure_start + f.at, [&cluster, f]() {
             if (f.recover) {
                 cluster.slave(f.slave_idx).recover();
             } else {
@@ -164,24 +180,20 @@ RunResult run_workload(offload::Cluster& cluster, const RunOptions& opts) {
         });
     }
 
-    sim.run_until(measure_start + opts.measure);
-    for (auto& c : clients) {
-        c->set_recording(false);
-        c->stop();
-    }
+    sim.run_until(tally->measure_start + opts.measure);
+    tally->recording = false;
+    for (auto& c : clients) c->stop();
 
     RunResult res;
     sim::LatencyHistogram merged;
-    for (const auto& c : clients) {
-        merged.merge(c->latencies());
-        res.ops += c->recorded_ops();
-        res.errors += c->errors();
-    }
+    for (const auto& h : tally->hists) merged.merge(h);
+    res.ops = tally->ops;
+    res.errors = tally->errors;
     finalize_latency(res, merged, opts.measure);
     res.master_cpu_util =
         (cluster.master().node().core->total_busy().ns() - busy_before) /
         static_cast<double>(opts.measure.ns());
-    timeline->fill(res);
+    tally->timeline.fill(res);
     if (opts.trace_stages) {
         stage_window.finish(tracer, &res.stages);
     }

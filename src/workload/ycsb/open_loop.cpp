@@ -209,18 +209,6 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
     auto driver = std::make_shared<Driver>(
         sim, opts, MixGenerator(opts.ycsb, sim.fork_rng(), frontier));
 
-    std::vector<RetryClient::Target> targets;
-    targets.push_back(
-        {cluster.master().node().ep, cluster.master().config().port});
-    for (int s = 0; s < cluster.slave_count(); ++s) {
-        targets.push_back(
-            {cluster.slave(s).node().ep, cluster.slave(s).config().port});
-    }
-    auto dial = [&cluster](net::NodeRef from, RetryClient::Target t,
-                           std::function<void(net::ChannelPtr)> cb) {
-        cluster.cm().connect(from, t.ep, t.port, std::move(cb));
-    };
-
     const int cph = opts.connections_per_host;
     std::vector<net::NodeRef> hosts;
     hosts.reserve(static_cast<std::size_t>((opts.connections + cph - 1) / cph));
@@ -236,9 +224,9 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
         unused.key_count = 1;
         unused.value_bytes = 1;
         auto conn = std::make_shared<RetryClient>(
-            sim, cluster.costs(), hosts[static_cast<std::size_t>(i / cph)],
+            cluster, hosts[static_cast<std::size_t>(i / cph)],
             1'000'000 + static_cast<std::uint64_t>(i),
-            Generator(unused, sim.fork_rng()), opts.policy, targets, dial,
+            Generator(unused, sim.fork_rng()), opts.policy,
             /*history=*/nullptr);
         if (opts.trace_stages) {
             conn->set_tracer(&tracer, "ycsb/" + std::to_string(i));

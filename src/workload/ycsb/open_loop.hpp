@@ -40,7 +40,7 @@ struct OpenLoopOptions {
     sim::Duration drain{sim::seconds(8)};
     bool preload = true;
     /// Per-connection retry/timeout machinery (same semantics as the
-    /// closed-loop RetryClient fleet).
+    /// self-paced RetryClient fleets of the chaos suite).
     RetryPolicy policy{};
     /// When non-zero, collect RunResult::timeline_kops at this bin width.
     sim::Duration timeline_bin{sim::Duration::zero()};

@@ -206,7 +206,7 @@ TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
         hist.record(op);
     };
 
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    RawConn master(*c, 0, "w");
     ASSERT_TRUE(master.connected());
     std::int64_t t0 = c->sim().now().ns();
     EXPECT_TRUE(master.call({"SET", "sk", "v1"}).is_ok());
@@ -227,7 +227,7 @@ TEST(ChaosCrash, CheckerRejectsInjectedStaleRead) {
     record(check::OpType::kWrite, "v2", true, t0, c->sim().now().ns());
     c->sim().run_until(c->sim().now() + sim::milliseconds(100));
 
-    RawConn stale(*c, c->slave(0).node().ep, c->slave(0).config().port, "r");
+    RawConn stale(*c, 1, "r");
     ASSERT_TRUE(stale.connected());
     t0 = c->sim().now().ns();
     const auto v = stale.call({"GET", "sk"});
@@ -247,7 +247,7 @@ TEST(ChaosCrash, DuplicateWriteRetryNeverDoubleApplies) {
     CrashClusterOpts o;
     o.wait_for_slaves = 0;
     auto c = make_crash_cluster(4242, o);
-    RawConn conn(*c, c->master().node().ep, c->master().config().port, "dup");
+    RawConn conn(*c, 0, "dup");
     ASSERT_TRUE(conn.connected());
 
     auto v1 = conn.call({"WSEQ", "7", "1", "APPEND", "dk", "x"});
@@ -299,7 +299,7 @@ TEST(ChaosCrash, RetransmitExhaustionBreaksLinkAndInvalidates) {
 
     // Traffic to retransmit: fan-out frames pile up unacked on the cut
     // link while the healthy replica keeps the writes committing.
-    RawConn conn(*c, c->master().node().ep, c->master().config().port, "rt");
+    RawConn conn(*c, 0, "rt");
     ASSERT_TRUE(conn.connected());
     for (int i = 0; i < 20; ++i) {
         conn.call({"SET", "rk" + std::to_string(i), "v"});

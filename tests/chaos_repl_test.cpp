@@ -389,7 +389,7 @@ TEST(ChaosReplChain, CheckerRejectsInjectedStaleTailRead) {
         hist.record(op);
     };
 
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    RawConn master(*c, 0, "w");
     ASSERT_TRUE(master.connected());
     std::int64_t t0 = c->sim().now().ns();
     EXPECT_TRUE(master.call({"SET", "tk", "v1"}).is_ok());
@@ -423,7 +423,7 @@ TEST(ChaosReplChain, CheckerRejectsInjectedStaleTailRead) {
 
     // The isolated tail still thinks its lease is fresh (60s bug) and
     // serves the stale value.
-    RawConn stale(*c, tail_ep, c->slave(tail).config().port, "r");
+    RawConn stale(*c, 1 + tail, "r");
     ASSERT_TRUE(stale.connected());
     t0 = c->sim().now().ns();
     const auto v = stale.call({"GET", "tk"});
@@ -444,7 +444,7 @@ TEST(ChaosReplChain, DefaultLeaseRefusesIsolatedTailReads) {
     const int tail = tail_slave_index(*c);
     ASSERT_GE(tail, 0);
     const int head = tail == 0 ? 1 : 0;
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    RawConn master(*c, 0, "w");
     ASSERT_TRUE(master.connected());
     EXPECT_TRUE(master.call({"SET", "tk", "v1"}).is_ok());
     c->sim().run_until(c->sim().now() + sim::seconds(1));
@@ -462,7 +462,7 @@ TEST(ChaosReplChain, DefaultLeaseRefusesIsolatedTailReads) {
     // Past the lease (400ms) but with the isolation still in place.
     c->sim().run_until(c->sim().now() + sim::seconds(2));
 
-    RawConn reader(*c, tail_ep, c->slave(tail).config().port, "r");
+    RawConn reader(*c, 1 + tail, "r");
     ASSERT_TRUE(reader.connected());
     const auto v = reader.call({"GET", "tk"});
     EXPECT_TRUE(v.is_error()) << "isolated tail served a read past its lease";
@@ -513,7 +513,7 @@ TEST(ChaosReplQuorum, DeterministicDoubleRun) {
 // master's own ack counting.
 TEST(ChaosReplQuorum, WatermarkReleasesCommits) {
     auto c = make_crash_cluster(62071, opts_for(ReplicationMode::kQuorum));
-    RawConn conn(*c, c->master().node().ep, c->master().config().port, "q");
+    RawConn conn(*c, 0, "q");
     ASSERT_TRUE(conn.connected());
     for (int i = 0; i < 10; ++i) {
         EXPECT_TRUE(conn.call({"SET", "qk" + std::to_string(i), "v"}).is_ok());
@@ -553,7 +553,7 @@ TEST(ChaosReplQuorum, CheckerRejectsInjectedSplitBrainAck) {
         hist.record(op);
     };
 
-    RawConn master(*c, c->master().node().ep, c->master().config().port, "w");
+    RawConn master(*c, 0, "w");
     ASSERT_TRUE(master.connected());
     std::int64_t t0 = c->sim().now().ns();
     EXPECT_TRUE(master.call({"SET", "qk", "v1"}).is_ok());
@@ -585,8 +585,7 @@ TEST(ChaosReplQuorum, CheckerRejectsInjectedSplitBrainAck) {
     }
     ASSERT_GE(promoted, 0) << "no stand-in was promoted";
 
-    RawConn stale(*c, c->slave(promoted).node().ep,
-                  c->slave(promoted).config().port, "r");
+    RawConn stale(*c, 1 + promoted, "r");
     ASSERT_TRUE(stale.connected());
     t0 = c->sim().now().ns();
     const auto v = stale.call({"GET", "qk"});

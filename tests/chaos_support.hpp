@@ -80,20 +80,9 @@ struct Fleet {
     /// the injected faults instead of finishing before the first crash.
     void spawn(Cluster& c, int n, std::uint64_t ops_each, double set_ratio,
                sim::Duration turnaround = sim::milliseconds(25)) {
-        std::vector<workload::RetryClient::Target> targets;
-        targets.push_back({c.master().node().ep, c.master().config().port});
-        for (int i = 0; i < c.slave_count(); ++i) {
-            targets.push_back(
-                {c.slave(i).node().ep, c.slave(i).config().port});
-        }
-        auto dial = [&c](net::NodeRef from, workload::RetryClient::Target t,
-                         std::function<void(net::ChannelPtr)> cb) {
-            c.cm().connect(from, t.ep, t.port, std::move(cb));
-        };
         workload::RetryPolicy pol;
         pol.attempt_timeout = sim::milliseconds(120);
         pol.op_deadline = sim::seconds(4);
-        pol.turnaround = turnaround;
         for (int i = 0; i < n; ++i) {
             workload::WorkloadSpec spec;
             spec.set_ratio = set_ratio;
@@ -103,13 +92,13 @@ struct Fleet {
             workload::Generator gen(spec, c.sim().fork_rng());
             auto node = c.add_client_host("rc" + std::to_string(i));
             clients.push_back(std::make_shared<workload::RetryClient>(
-                c.sim(), c.costs(), node, 100 + static_cast<std::uint64_t>(i),
-                std::move(gen), pol, targets, dial, &history));
+                c, node, 100 + static_cast<std::uint64_t>(i), std::move(gen),
+                pol, &history));
             if (read_first != SIZE_MAX) {
                 clients.back()->set_read_first(read_first);
             }
         }
-        for (auto& cl : clients) cl->start(ops_each);
+        for (auto& cl : clients) cl->start(ops_each, turnaround);
         ops_issued += static_cast<std::uint64_t>(n) * ops_each;
     }
 
@@ -206,14 +195,13 @@ inline void gate_linearizable(Cluster& c, const check::History& hist,
 }
 
 /// Minimal synchronous command shell over a raw channel, for tests that
-/// need precise control over which node serves which request.
+/// need precise control over which node serves which request. `server`
+/// is in client target order: 0 = master, 1 + i = slave i.
 class RawConn {
 public:
-    RawConn(Cluster& c, net::EndpointId ep, std::uint16_t port,
-            const std::string& name)
-        : cluster_(c) {
+    RawConn(Cluster& c, int server, const std::string& name) : cluster_(c) {
         node_ = c.add_client_host(name);
-        c.cm().connect(node_, ep, port, [this](net::ChannelPtr ch) {
+        c.connect(node_, server, [this](net::ChannelPtr ch) {
             ch_ = std::move(ch);
             ch_->set_on_message([this](std::string payload) {
                 parser_.feed(payload);

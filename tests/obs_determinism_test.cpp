@@ -43,8 +43,9 @@ ObsRun run_scenario(std::uint64_t seed, bool tracing, int ops) {
     ObsRun out;
     if (!ch) return out;
 
-    // Stamp the request flow by hand (what BenchClient does internally), so
-    // the critical-path stages are exercised without the workload runner.
+    // Stamp the request flow by hand (what RetryClient does when given a
+    // tracer), so the critical-path stages are exercised without the
+    // workload runner.
     const std::uint32_t client_track = c.tracer().track("client/0");
     int sent = 0;
     int replies = 0;

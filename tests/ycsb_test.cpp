@@ -238,6 +238,60 @@ TEST(OpenLoop, TenThousandConnectionsDoubleRunBitIdentical) {
     EXPECT_NE(std::get<5>(a), std::get<5>(run(910))); // seeds diverge
 }
 
+// Open-loop connections dial through the cluster's configured transport:
+// a TCP cluster is reached over the TCP stack, where its servers listen
+// (the RDMA CM has no listener there, so an RDMA dial never connects).
+TEST(OpenLoop, TcpClusterCompletesEveryArrival) {
+    offload::ClusterConfig cfg;
+    cfg.seed = 303;
+    cfg.n_slaves = 2;
+    cfg.transport = server::Transport::kTcp;
+    offload::Cluster cluster(cfg);
+    cluster.start();
+    OpenLoopOptions opts;
+    opts.ycsb = YcsbOptions::standard(Workload::kA);
+    opts.ycsb.record_count = 2'000;
+    opts.connections = 16;
+    opts.offered_kops = 5.0;
+    opts.warmup = sim::milliseconds(50);
+    opts.measure = sim::milliseconds(300);
+    const auto r = run_open_loop(cluster, opts);
+
+    EXPECT_GT(r.arrivals, 1'000u) << r.summary();
+    EXPECT_EQ(r.completed, r.arrivals) << r.summary();
+    EXPECT_EQ(r.failed + r.timed_out, 0u) << r.summary();
+}
+
+// The figures measure plain redis-benchmark SETs: the closed-loop runner
+// must leave the master's WSEQ duplicate table empty. An open-loop run of
+// the same size (whose connections carry a RetryPolicy and tag every
+// write) fills it, which shows the check can fail.
+TEST(OpenLoop, ClosedLoopFigureRunsSendUntaggedWrites) {
+    auto closed_cluster = make_skv(77);
+    workload::RunOptions copts;
+    copts.clients = 8;
+    copts.spec.set_ratio = 1.0;
+    copts.spec.key_count = 2'000;
+    copts.warmup = sim::milliseconds(20);
+    copts.measure = sim::milliseconds(100);
+    const auto closed = workload::run_workload(*closed_cluster, copts);
+    EXPECT_GT(closed.ops, 1'000u);
+    EXPECT_EQ(closed.errors, 0u);
+    EXPECT_EQ(closed_cluster->master().dup_entries(), 0u);
+
+    auto open_cluster = make_skv(77);
+    OpenLoopOptions oopts;
+    oopts.ycsb = YcsbOptions::standard(Workload::kA);
+    oopts.ycsb.record_count = 2'000;
+    oopts.connections = 8;
+    oopts.offered_kops = 20.0;
+    oopts.warmup = sim::milliseconds(20);
+    oopts.measure = sim::milliseconds(100);
+    const auto open = run_open_loop(*open_cluster, oopts);
+    EXPECT_EQ(open.failed + open.timed_out, 0u);
+    EXPECT_GT(open_cluster->master().dup_entries(), 0u);
+}
+
 // The coordinated-omission self-test (ISSUE): stall the master's core
 // mid-window. The open-loop driver keeps timestamping arrivals while they
 // queue, so its p99 must absorb the stall; closed-loop clients simply stop
