@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the KV engine substrates that
 // back the simulator's cost model: dict insert/lookup with incremental
-// rehash, skiplist insert/rank, RESP parse/encode, SDS append, RDB
+// rehash, RESP parse/encode, SDS append, RDB
 // round-trip, backlog append, and the command dispatch path. These are
 // real data-structure costs on the build machine, reported so the cost
 // model's relative magnitudes can be sanity-checked.
@@ -13,7 +13,6 @@
 #include "kv/object.hpp"
 #include "kv/rdb.hpp"
 #include "kv/resp.hpp"
-#include "kv/skiplist.hpp"
 #include "sim/histogram.hpp"
 #include "sim/rng.hpp"
 
@@ -49,35 +48,6 @@ void BM_DictLookup(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_DictLookup);
-
-void BM_SkipListInsert(benchmark::State& state) {
-    const auto n = static_cast<std::uint64_t>(state.range(0));
-    for (auto _ : state) {
-        kv::SkipList sl;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            sl.insert(static_cast<double>(i % 997),
-                      kv::Sds("m" + std::to_string(i)));
-        }
-        benchmark::DoNotOptimize(sl.size());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SkipListInsert)->Arg(1000)->Arg(50000);
-
-void BM_SkipListRank(benchmark::State& state) {
-    kv::SkipList sl;
-    for (std::uint64_t i = 0; i < 50000; ++i) {
-        sl.insert(static_cast<double>(i), kv::Sds("m" + std::to_string(i)));
-    }
-    sim::Rng rng(2);
-    for (auto _ : state) {
-        const auto i = rng.next_below(50000);
-        benchmark::DoNotOptimize(
-            sl.rank(static_cast<double>(i), kv::Sds("m" + std::to_string(i))));
-    }
-}
-BENCHMARK(BM_SkipListRank);
 
 void BM_RespParseCommand(benchmark::State& state) {
     const std::string wire =

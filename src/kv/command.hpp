@@ -32,8 +32,8 @@ struct CommandContext {
     /// replication: only dirty writes propagate).
     bool dirty = false;
 
-    /// Effect replication: when a command is non-deterministic (SPOP,
-    /// INCRBYFLOAT) or time-relative (EXPIRE), the handler records the
+    /// Effect replication: when a command is non-deterministic
+    /// (INCRBYFLOAT) or time-relative (EXPIRE), the handler records the
     /// deterministic command slaves must execute instead, exactly as Redis
     /// rewrites them in the replication stream.
     std::optional<std::vector<std::string>> repl_override;
@@ -121,9 +121,7 @@ bool glob_match(std::string_view pattern, std::string_view str);
 void register_string_commands(CommandTable& t);
 void register_key_commands(CommandTable& t);
 void register_list_commands(CommandTable& t);
-void register_set_commands(CommandTable& t);
 void register_hash_commands(CommandTable& t);
-void register_zset_commands(CommandTable& t);
 void register_server_commands(CommandTable& t);
 void register_scan_commands(CommandTable& t);
 void register_bit_commands(CommandTable& t);

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <bit>
-#include <climits>
 
 #include "kv/command.hpp"
 #include "kv/sds.hpp"
@@ -216,187 +215,6 @@ void cmd_bitop(CommandContext& ctx) {
     ctx.reply_integer(static_cast<long long>(maxlen));
 }
 
-// --- non-bit extras registered here to keep the family files stable ---------
-
-/// LINSERT key BEFORE|AFTER pivot element.
-void cmd_linsert(CommandContext& ctx) {
-    const Sds where(ctx.argv[2]);
-    const bool before = where.iequals("BEFORE");
-    if (!before && !where.iequals("AFTER")) {
-        ctx.reply_error("ERR syntax error");
-        return;
-    }
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kList, &type_err);
-    if (type_err) return;
-    if (o == nullptr) {
-        ctx.reply_integer(0);
-        return;
-    }
-    auto& lst = o->list();
-    const Sds pivot(ctx.argv[3]);
-    for (auto it = lst.begin(); it != lst.end(); ++it) {
-        if (*it == pivot) {
-            lst.insert(before ? it : std::next(it), Sds(ctx.argv[4]));
-            ctx.db.mark_dirty();
-            ctx.dirty = true;
-            ctx.reply_integer(static_cast<long long>(lst.size()));
-            return;
-        }
-    }
-    ctx.reply_integer(-1); // pivot not found
-}
-
-/// ZREMRANGEBYRANK key start stop (0-based, negatives allowed).
-void cmd_zremrangebyrank(CommandContext& ctx) {
-    const auto start = string2ll(ctx.argv[2]);
-    const auto stop = string2ll(ctx.argv[3]);
-    if (!start.has_value() || !stop.has_value()) {
-        ctx.reply_error("ERR value is not an integer or out of range");
-        return;
-    }
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kZSet, &type_err);
-    if (type_err) return;
-    if (o == nullptr) {
-        ctx.reply_integer(0);
-        return;
-    }
-    const auto len = static_cast<std::ptrdiff_t>(o->zcard());
-    std::ptrdiff_t s = static_cast<std::ptrdiff_t>(*start);
-    std::ptrdiff_t e = static_cast<std::ptrdiff_t>(*stop);
-    if (s < 0) s += len;
-    if (e < 0) e += len;
-    if (s < 0) s = 0;
-    if (e >= len) e = len - 1;
-    long long removed = 0;
-    if (s <= e && s < len) {
-        // Collect first: removal shifts ranks.
-        std::vector<std::string> victims;
-        for (std::ptrdiff_t r = s; r <= e; ++r) {
-            victims.push_back(
-                o->zsl().at_rank(static_cast<std::size_t>(r) + 1)->member.str());
-        }
-        for (const auto& m : victims) {
-            if (o->zrem(m)) ++removed;
-        }
-    }
-    if (o->zcard() == 0) ctx.db.remove(ctx.argv[1]);
-    if (removed > 0) {
-        ctx.db.mark_dirty();
-        ctx.dirty = true;
-    }
-    ctx.reply_integer(removed);
-}
-
-/// ZREMRANGEBYSCORE key min max (with (exclusive and +-inf bounds).
-void cmd_zremrangebyscore(CommandContext& ctx) {
-    auto parse_bound = [](std::string_view s, double* value, bool* exclusive) {
-        *exclusive = false;
-        if (!s.empty() && s[0] == '(') {
-            *exclusive = true;
-            s.remove_prefix(1);
-        }
-        const auto v = string2d(s);
-        if (!v.has_value()) return false;
-        *value = *v;
-        return true;
-    };
-    double min;
-    double max;
-    bool min_ex;
-    bool max_ex;
-    if (!parse_bound(ctx.argv[2], &min, &min_ex) ||
-        !parse_bound(ctx.argv[3], &max, &max_ex)) {
-        ctx.reply_error("ERR min or max is not a float");
-        return;
-    }
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kZSet, &type_err);
-    if (type_err) return;
-    if (o == nullptr) {
-        ctx.reply_integer(0);
-        return;
-    }
-    std::vector<std::string> victims;
-    for (const SkipList::Node* n = o->zsl().first_in_range(min, min_ex);
-         n != nullptr; n = n->level[0].forward) {
-        if (max_ex ? n->score >= max : n->score > max) break;
-        victims.push_back(n->member.str());
-    }
-    long long removed = 0;
-    for (const auto& m : victims) {
-        if (o->zrem(m)) ++removed;
-    }
-    if (o->zcard() == 0) ctx.db.remove(ctx.argv[1]);
-    if (removed > 0) {
-        ctx.db.mark_dirty();
-        ctx.dirty = true;
-    }
-    ctx.reply_integer(removed);
-}
-
-/// HSTRLEN key field.
-void cmd_hstrlen(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kHash, &type_err);
-    if (type_err) return;
-    if (o == nullptr) {
-        ctx.reply_integer(0);
-        return;
-    }
-    const Sds* v = o->hash().find(Sds(ctx.argv[2]));
-    ctx.reply_integer(v == nullptr ? 0 : static_cast<long long>(v->size()));
-}
-
-/// SINTERCARD numkeys key [key ...] [LIMIT n].
-void cmd_sintercard(CommandContext& ctx) {
-    const auto numkeys = string2ll(ctx.argv[1]);
-    if (!numkeys.has_value() || *numkeys <= 0 ||
-        static_cast<std::size_t>(*numkeys) + 2 > ctx.argv.size() + 1) {
-        ctx.reply_error("ERR numkeys should be greater than 0");
-        return;
-    }
-    const std::size_t nkeys = static_cast<std::size_t>(*numkeys);
-    long long limit = LLONG_MAX;
-    const std::size_t after = 2 + nkeys;
-    if (ctx.argv.size() > after) {
-        if (ctx.argv.size() != after + 2 || !Sds(ctx.argv[after]).iequals("LIMIT")) {
-            ctx.reply_error("ERR syntax error");
-            return;
-        }
-        const auto l = string2ll(ctx.argv[after + 1]);
-        if (!l.has_value() || *l < 0) {
-            ctx.reply_error("ERR LIMIT can't be negative");
-            return;
-        }
-        if (*l > 0) limit = *l;
-    }
-    std::vector<ObjectPtr> sets;
-    bool type_err = false;
-    for (std::size_t i = 0; i < nkeys; ++i) {
-        ObjectPtr o = ctx.lookup_typed(ctx.argv[2 + i], ObjType::kSet, &type_err);
-        if (type_err) return;
-        if (o == nullptr) {
-            ctx.reply_integer(0);
-            return;
-        }
-        sets.push_back(std::move(o));
-    }
-    long long count = 0;
-    for (const auto& m : sets[0]->set_members()) {
-        bool in_all = true;
-        for (std::size_t i = 1; i < sets.size(); ++i) {
-            if (!sets[i]->set_contains(m)) {
-                in_all = false;
-                break;
-            }
-        }
-        if (in_all && ++count >= limit) break;
-    }
-    ctx.reply_integer(count);
-}
-
 } // namespace
 
 void register_bit_commands(CommandTable& t) {
@@ -405,11 +223,6 @@ void register_bit_commands(CommandTable& t) {
     t.add({"BITCOUNT", -2, kCmdReadOnly, cmd_bitcount});
     t.add({"BITPOS", -3, kCmdReadOnly, cmd_bitpos});
     t.add({"BITOP", -4, kCmdWrite, cmd_bitop});
-    t.add({"LINSERT", 5, kCmdWrite, cmd_linsert});
-    t.add({"ZREMRANGEBYRANK", 4, kCmdWrite, cmd_zremrangebyrank});
-    t.add({"ZREMRANGEBYSCORE", 4, kCmdWrite, cmd_zremrangebyscore});
-    t.add({"HSTRLEN", 3, kCmdReadOnly | kCmdFast, cmd_hstrlen});
-    t.add({"SINTERCARD", -3, kCmdReadOnly, cmd_sintercard});
 }
 
 } // namespace skv::kv

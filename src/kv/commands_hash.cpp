@@ -198,6 +198,19 @@ void cmd_hincrby(CommandContext& ctx) {
     ctx.reply_integer(next);
 }
 
+/// HSTRLEN key field.
+void cmd_hstrlen(CommandContext& ctx) {
+    bool type_err = false;
+    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kHash, &type_err);
+    if (type_err) return;
+    if (o == nullptr) {
+        ctx.reply_integer(0);
+        return;
+    }
+    const Sds* v = o->hash().find(Sds(ctx.argv[2]));
+    ctx.reply_integer(v == nullptr ? 0 : static_cast<long long>(v->size()));
+}
+
 } // namespace
 
 void register_hash_commands(CommandTable& t) {
@@ -212,6 +225,7 @@ void register_hash_commands(CommandTable& t) {
     t.add({"HKEYS", 2, kCmdReadOnly, cmd_hkeys});
     t.add({"HVALS", 2, kCmdReadOnly, cmd_hvals});
     t.add({"HINCRBY", 4, kCmdWrite | kCmdFast, cmd_hincrby});
+    t.add({"HSTRLEN", 3, kCmdReadOnly | kCmdFast, cmd_hstrlen});
 }
 
 } // namespace skv::kv

@@ -241,6 +241,35 @@ void cmd_rpoplpush(CommandContext& ctx) {
     ctx.reply_bulk(moved.view());
 }
 
+/// LINSERT key BEFORE|AFTER pivot element.
+void cmd_linsert(CommandContext& ctx) {
+    const Sds where(ctx.argv[2]);
+    const bool before = where.iequals("BEFORE");
+    if (!before && !where.iequals("AFTER")) {
+        ctx.reply_error("ERR syntax error");
+        return;
+    }
+    bool type_err = false;
+    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kList, &type_err);
+    if (type_err) return;
+    if (o == nullptr) {
+        ctx.reply_integer(0);
+        return;
+    }
+    auto& lst = o->list();
+    const Sds pivot(ctx.argv[3]);
+    for (auto it = lst.begin(); it != lst.end(); ++it) {
+        if (*it == pivot) {
+            lst.insert(before ? it : std::next(it), Sds(ctx.argv[4]));
+            ctx.db.mark_dirty();
+            ctx.dirty = true;
+            ctx.reply_integer(static_cast<long long>(lst.size()));
+            return;
+        }
+    }
+    ctx.reply_integer(-1); // pivot not found
+}
+
 } // namespace
 
 void register_list_commands(CommandTable& t) {
@@ -263,6 +292,7 @@ void register_list_commands(CommandTable& t) {
     t.add({"LREM", 4, kCmdWrite, cmd_lrem});
     t.add({"LTRIM", 4, kCmdWrite, cmd_ltrim});
     t.add({"RPOPLPUSH", 3, kCmdWrite, cmd_rpoplpush});
+    t.add({"LINSERT", 5, kCmdWrite, cmd_linsert});
 }
 
 } // namespace skv::kv

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cstdio>
 
 #include "kv/command.hpp"
 #include "kv/sds.hpp"
@@ -8,7 +7,7 @@ namespace skv::kv {
 
 namespace {
 
-/// Shared option parsing for SCAN/SSCAN/HSCAN/ZSCAN:
+/// Shared option parsing for SCAN and HSCAN:
 /// [MATCH pattern] [COUNT n].
 struct ScanOptions {
     std::string pattern;
@@ -79,29 +78,6 @@ void cmd_scan(CommandContext& ctx) {
     reply_scan(ctx, c, out);
 }
 
-void cmd_sscan(CommandContext& ctx) {
-    const auto cursor = string2ll(ctx.argv[2]);
-    if (!cursor.has_value() || *cursor < 0) {
-        ctx.reply_error("ERR invalid cursor");
-        return;
-    }
-    const ScanOptions o = parse_scan_options(ctx, 3);
-    if (o.bad) return;
-    bool type_err = false;
-    ObjectPtr obj = ctx.lookup_typed(ctx.argv[1], ObjType::kSet, &type_err);
-    if (type_err) return;
-    // Small sets (and intsets) are returned whole in one step, as Redis
-    // does for compact encodings.
-    std::vector<std::string> out;
-    if (obj != nullptr) {
-        for (auto& m : obj->set_members()) {
-            if (matches(o, m)) out.push_back(std::move(m));
-        }
-        std::sort(out.begin(), out.end());
-    }
-    reply_scan(ctx, 0, out);
-}
-
 void cmd_hscan(CommandContext& ctx) {
     const auto cursor = string2ll(ctx.argv[2]);
     if (!cursor.has_value() || *cursor < 0) {
@@ -129,100 +105,11 @@ void cmd_hscan(CommandContext& ctx) {
     reply_scan(ctx, 0, out);
 }
 
-void cmd_zscan(CommandContext& ctx) {
-    const auto cursor = string2ll(ctx.argv[2]);
-    if (!cursor.has_value() || *cursor < 0) {
-        ctx.reply_error("ERR invalid cursor");
-        return;
-    }
-    const ScanOptions o = parse_scan_options(ctx, 3);
-    if (o.bad) return;
-    bool type_err = false;
-    ObjectPtr obj = ctx.lookup_typed(ctx.argv[1], ObjType::kZSet, &type_err);
-    if (type_err) return;
-    std::vector<std::string> out;
-    if (obj != nullptr) {
-        for (const SkipList::Node* n = obj->zsl().head(); n != nullptr;
-             n = n->level[0].forward) {
-            if (matches(o, n->member.view())) {
-                out.push_back(n->member.str());
-                char buf[64];
-                if (n->score == static_cast<long long>(n->score)) {
-                    out.push_back(ll2string(static_cast<long long>(n->score)));
-                } else {
-                    std::snprintf(buf, sizeof(buf), "%.17g", n->score);
-                    out.push_back(buf);
-                }
-            }
-        }
-    }
-    reply_scan(ctx, 0, out);
-}
-
-/// GETDEL: GET then delete (Redis 6.2).
-void cmd_getdel(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
-    if (o == nullptr) {
-        ctx.reply_null();
-        return;
-    }
-    ctx.reply_bulk(o->string_value());
-    ctx.db.remove(ctx.argv[1]);
-    ctx.dirty = true;
-    ctx.repl_override = std::vector<std::string>{"DEL", ctx.argv[1]};
-}
-
-/// GETEX key [EX s | PX ms | PERSIST] — GET that can touch the TTL.
-void cmd_getex(CommandContext& ctx) {
-    bool type_err = false;
-    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
-    if (type_err) return;
-    if (o == nullptr) {
-        ctx.reply_null();
-        return;
-    }
-    if (ctx.argv.size() == 2) {
-        ctx.reply_bulk(o->string_value());
-        return;
-    }
-    const Sds opt(ctx.argv[2]);
-    if (opt.iequals("PERSIST") && ctx.argv.size() == 3) {
-        if (ctx.db.persist(ctx.argv[1])) {
-            ctx.dirty = true;
-            ctx.repl_override = std::vector<std::string>{"PERSIST", ctx.argv[1]};
-        }
-        ctx.reply_bulk(o->string_value());
-        return;
-    }
-    if ((opt.iequals("EX") || opt.iequals("PX")) && ctx.argv.size() == 4) {
-        const auto v = string2ll(ctx.argv[3]);
-        if (!v.has_value() || *v <= 0) {
-            ctx.reply_error("ERR invalid expire time in 'getex' command");
-            return;
-        }
-        const std::int64_t at =
-            ctx.db.now_ms() + (opt.iequals("EX") ? *v * 1000 : *v);
-        ctx.db.set_expire(ctx.argv[1], at);
-        ctx.dirty = true;
-        ctx.repl_override =
-            std::vector<std::string>{"PEXPIREAT", ctx.argv[1], ll2string(at)};
-        ctx.reply_bulk(o->string_value());
-        return;
-    }
-    ctx.reply_error("ERR syntax error");
-}
-
 } // namespace
 
 void register_scan_commands(CommandTable& t) {
     t.add({"SCAN", -2, kCmdReadOnly, cmd_scan});
-    t.add({"SSCAN", -3, kCmdReadOnly, cmd_sscan});
     t.add({"HSCAN", -3, kCmdReadOnly, cmd_hscan});
-    t.add({"ZSCAN", -3, kCmdReadOnly, cmd_zscan});
-    t.add({"GETDEL", 2, kCmdWrite | kCmdFast, cmd_getdel});
-    t.add({"GETEX", -2, kCmdWrite | kCmdFast, cmd_getex});
 }
 
 } // namespace skv::kv

@@ -334,6 +334,61 @@ void cmd_setrange(CommandContext& ctx) {
     ctx.reply_integer(static_cast<long long>(value.size()));
 }
 
+/// GETDEL: GET then delete (Redis 6.2).
+void cmd_getdel(CommandContext& ctx) {
+    bool type_err = false;
+    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
+    if (type_err) return;
+    if (o == nullptr) {
+        ctx.reply_null();
+        return;
+    }
+    ctx.reply_bulk(o->string_value());
+    ctx.db.remove(ctx.argv[1]);
+    ctx.dirty = true;
+    ctx.repl_override = std::vector<std::string>{"DEL", ctx.argv[1]};
+}
+
+/// GETEX key [EX s | PX ms | PERSIST] — GET that can touch the TTL.
+void cmd_getex(CommandContext& ctx) {
+    bool type_err = false;
+    ObjectPtr o = ctx.lookup_typed(ctx.argv[1], ObjType::kString, &type_err);
+    if (type_err) return;
+    if (o == nullptr) {
+        ctx.reply_null();
+        return;
+    }
+    if (ctx.argv.size() == 2) {
+        ctx.reply_bulk(o->string_value());
+        return;
+    }
+    const Sds opt(ctx.argv[2]);
+    if (opt.iequals("PERSIST") && ctx.argv.size() == 3) {
+        if (ctx.db.persist(ctx.argv[1])) {
+            ctx.dirty = true;
+            ctx.repl_override = std::vector<std::string>{"PERSIST", ctx.argv[1]};
+        }
+        ctx.reply_bulk(o->string_value());
+        return;
+    }
+    if ((opt.iequals("EX") || opt.iequals("PX")) && ctx.argv.size() == 4) {
+        const auto v = string2ll(ctx.argv[3]);
+        if (!v.has_value() || *v <= 0) {
+            ctx.reply_error("ERR invalid expire time in 'getex' command");
+            return;
+        }
+        const std::int64_t at =
+            ctx.db.now_ms() + (opt.iequals("EX") ? *v * 1000 : *v);
+        ctx.db.set_expire(ctx.argv[1], at);
+        ctx.dirty = true;
+        ctx.repl_override =
+            std::vector<std::string>{"PEXPIREAT", ctx.argv[1], ll2string(at)};
+        ctx.reply_bulk(o->string_value());
+        return;
+    }
+    ctx.reply_error("ERR syntax error");
+}
+
 } // namespace
 
 void register_string_commands(CommandTable& t) {
@@ -360,6 +415,8 @@ void register_string_commands(CommandTable& t) {
     t.add({"MGET", -2, kCmdReadOnly | kCmdFast, cmd_mget});
     t.add({"GETRANGE", 4, kCmdReadOnly, cmd_getrange});
     t.add({"SETRANGE", 4, kCmdWrite, cmd_setrange});
+    t.add({"GETDEL", 2, kCmdWrite | kCmdFast, cmd_getdel});
+    t.add({"GETEX", -2, kCmdWrite | kCmdFast, cmd_getex});
 }
 
 } // namespace skv::kv

@@ -5,23 +5,18 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "kv/dict.hpp"
-#include "kv/intset.hpp"
 #include "kv/sds.hpp"
-#include "kv/skiplist.hpp"
 
 namespace skv::kv {
 
-enum class ObjType : std::uint8_t { kString, kList, kSet, kHash, kZSet };
+enum class ObjType : std::uint8_t { kString, kList, kHash };
 enum class ObjEncoding : std::uint8_t {
     kInt,       // string holding a long long
     kRaw,       // sds string
     kQuickList, // list of sds
-    kIntSet,    // small all-integer set
-    kHashTable, // dict-backed set or hash
-    kSkipList,  // zset (dict + skiplist)
+    kHashTable, // dict-backed hash
 };
 
 const char* to_string(ObjType t);
@@ -30,22 +25,17 @@ const char* to_string(ObjEncoding e);
 class Object;
 using ObjectPtr = std::shared_ptr<Object>;
 
-/// A Redis object: a type tag, an encoding, and the payload. Encodings
-/// follow Redis's space/speed conversions: strings that parse as integers
-/// use the int encoding; small all-integer sets start as intsets and
-/// upgrade to hash tables when a non-integer member arrives or the set
-/// outgrows `kSetMaxIntsetEntries`.
+/// A Redis object: a type tag, an encoding, and the payload. Strings that
+/// parse as integers use the int encoding, as in Redis. The list and hash
+/// payloads live behind pointers that only `make_list` and `make_hash`
+/// fill, so a string value carries no container storage.
 class Object {
 public:
-    static constexpr std::size_t kSetMaxIntsetEntries = 512;
-
     // --- constructors -----------------------------------------------------
     static ObjectPtr make_string(std::string_view v);
     static ObjectPtr make_string_ll(long long v);
     static ObjectPtr make_list();
-    static ObjectPtr make_set();
     static ObjectPtr make_hash();
-    static ObjectPtr make_zset();
 
     [[nodiscard]] ObjType type() const { return type_; }
     [[nodiscard]] ObjEncoding encoding() const { return encoding_; }
@@ -63,35 +53,14 @@ public:
     void string_set_ll(long long v);
 
     // --- list ---------------------------------------------------------------
-    [[nodiscard]] std::deque<Sds>& list() { return list_; }
-    [[nodiscard]] const std::deque<Sds>& list() const { return list_; }
-
-    // --- set ----------------------------------------------------------------
-    /// Add a member; returns true when newly added. Handles the
-    /// intset -> hashtable encoding upgrade.
-    bool set_add(std::string_view member);
-    bool set_remove(std::string_view member);
-    [[nodiscard]] bool set_contains(std::string_view member) const;
-    [[nodiscard]] std::size_t set_size() const;
-    [[nodiscard]] std::vector<std::string> set_members() const;
-    /// Remove and return a uniformly random member; nullopt when empty.
-    std::optional<std::string> set_pop(sim::Rng& rng);
+    [[nodiscard]] std::deque<Sds>& list();
+    [[nodiscard]] const std::deque<Sds>& list() const;
 
     // --- hash ---------------------------------------------------------------
-    [[nodiscard]] Dict<Sds>& hash() { return hash_; }
-    [[nodiscard]] const Dict<Sds>& hash() const { return hash_; }
+    [[nodiscard]] Dict<Sds>& hash();
+    [[nodiscard]] const Dict<Sds>& hash() const;
 
-    // --- zset ----------------------------------------------------------------
-    /// Add or update; returns true when the member is new.
-    bool zadd(double score, std::string_view member);
-    bool zrem(std::string_view member);
-    [[nodiscard]] std::optional<double> zscore(std::string_view member) const;
-    [[nodiscard]] std::size_t zcard() const { return zsl_ ? zsl_->size() : 0; }
-    /// 0-based rank, or nullopt when absent.
-    [[nodiscard]] std::optional<std::size_t> zrank(std::string_view member) const;
-    [[nodiscard]] const SkipList& zsl() const { return *zsl_; }
-
-    /// Approximate heap footprint, for INFO and NIC memory budgeting.
+    /// Approximate heap footprint, reported by INFO `used_memory`.
     [[nodiscard]] std::size_t memory_bytes() const;
 
     /// Deep structural equality (used by replication-convergence tests).
@@ -100,24 +69,16 @@ public:
 private:
     Object(ObjType t, ObjEncoding e) : type_(t), encoding_(e) {}
 
-    void set_upgrade_to_hashtable();
-
     ObjType type_;
     ObjEncoding encoding_;
 
     // string payloads
     long long ival_ = 0;
     Sds str_;
-    // list payload
-    std::deque<Sds> list_;
-    // set payloads
-    IntSet intset_;
-    Dict<char> setdict_;
-    // hash payload
-    Dict<Sds> hash_;
-    // zset payload
-    Dict<double> zdict_;
-    std::unique_ptr<SkipList> zsl_;
+    // list payload (lists only)
+    std::unique_ptr<std::deque<Sds>> list_;
+    // hash payload (hashes only)
+    std::unique_ptr<Dict<Sds>> hash_;
 };
 
 } // namespace skv::kv

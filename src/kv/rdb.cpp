@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 
 #include "sim/check.hpp"
 
@@ -12,12 +11,11 @@ namespace {
 
 constexpr std::string_view kMagic = "SKVRDB01";
 
-// Record opcodes.
+// Record opcodes. 2 and 4 are retired (set and sorted-set records): a
+// record carrying one loads as kCorrupt.
 constexpr std::uint8_t kOpString = 0;
 constexpr std::uint8_t kOpList = 1;
-constexpr std::uint8_t kOpSet = 2;
 constexpr std::uint8_t kOpHash = 3;
-constexpr std::uint8_t kOpZSet = 4;
 constexpr std::uint8_t kOpExpireMs = 0xFD;
 constexpr std::uint8_t kOpEof = 0xFF;
 
@@ -100,28 +98,11 @@ bool get_i64(std::string_view in, std::size_t* p, std::int64_t* v) {
     return true;
 }
 
-void put_double(std::string& out, double d) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    put_i64(out, static_cast<std::int64_t>(bits));
-}
-
-bool get_double(std::string_view in, std::size_t* p, double* d) {
-    std::int64_t v = 0;
-    if (!get_i64(in, p, &v)) return false;
-    const auto bits = static_cast<std::uint64_t>(v);
-    std::memcpy(d, &bits, sizeof(*d));
-    return true;
-}
-
 std::uint8_t type_opcode(const Object& o) {
     switch (o.type()) {
         case ObjType::kString: return kOpString;
         case ObjType::kList: return kOpList;
-        case ObjType::kSet: return kOpSet;
         case ObjType::kHash: return kOpHash;
-        case ObjType::kZSet: return kOpZSet;
     }
     return kOpString;
 }
@@ -136,13 +117,6 @@ void save_payload(std::string& out, const Object& o) {
             for (const auto& e : o.list()) put_string(out, e.view());
             break;
         }
-        case ObjType::kSet: {
-            auto members = o.set_members();
-            std::sort(members.begin(), members.end());
-            put_len(out, members.size());
-            for (const auto& m : members) put_string(out, m);
-            break;
-        }
         case ObjType::kHash: {
             // Sorted fields keep snapshots byte-identical across runs.
             std::vector<std::pair<std::string, std::string>> pairs;
@@ -155,15 +129,6 @@ void save_payload(std::string& out, const Object& o) {
             for (const auto& [k, v] : pairs) {
                 put_string(out, k);
                 put_string(out, v);
-            }
-            break;
-        }
-        case ObjType::kZSet: {
-            put_len(out, o.zcard());
-            for (const SkipList::Node* n = o.zsl().head(); n != nullptr;
-                 n = n->level[0].forward) {
-                put_string(out, n->member.view());
-                put_double(out, n->score);
             }
             break;
         }
@@ -192,18 +157,6 @@ ObjectPtr load_object(std::string_view in, std::size_t* p, std::uint8_t op,
             *ok = true;
             return o;
         }
-        case kOpSet: {
-            std::uint64_t n = 0;
-            if (!get_len(in, p, &n)) return nullptr;
-            auto o = Object::make_set();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string s;
-                if (!get_string(in, p, &s)) return nullptr;
-                o->set_add(s);
-            }
-            *ok = true;
-            return o;
-        }
         case kOpHash: {
             std::uint64_t n = 0;
             if (!get_len(in, p, &n)) return nullptr;
@@ -213,21 +166,6 @@ ObjectPtr load_object(std::string_view in, std::size_t* p, std::uint8_t op,
                 std::string v;
                 if (!get_string(in, p, &k) || !get_string(in, p, &v)) return nullptr;
                 o->hash().set(Sds(k), Sds(v));
-            }
-            *ok = true;
-            return o;
-        }
-        case kOpZSet: {
-            std::uint64_t n = 0;
-            if (!get_len(in, p, &n)) return nullptr;
-            auto o = Object::make_zset();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string m;
-                double score;
-                if (!get_string(in, p, &m) || !get_double(in, p, &score)) {
-                    return nullptr;
-                }
-                o->zadd(score, m);
             }
             *ok = true;
             return o;

@@ -22,7 +22,7 @@ enum class LoadStatus : std::uint8_t {
 
 const char* to_string(LoadStatus s);
 
-/// Serialize the whole keyspace (all five types, expires included) into an
+/// Serialize the whole keyspace (strings, lists and hashes, expires included) into an
 /// RDB-style snapshot: magic + version, per-key records with
 /// length-encoded fields, an EOF opcode and a trailing CRC-64. This is the
 /// "data file containing all key-value pairs" shipped during the initial

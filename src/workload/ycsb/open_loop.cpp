@@ -253,15 +253,18 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
 
     // Drain: no new arrivals; let queued/in-flight window ops finish (their
     // latency belongs to the window). The retry machinery's op deadlines
-    // bound each op, the cap bounds the loop.
+    // bound each op, the cap bounds the loop. Window arrivals still queued
+    // or in flight when the cap expires count as timed out.
     const sim::SimTime drain_stop = driver->measure_end + opts.drain;
     while (sim.now() < drain_stop && !driver->drained()) {
         sim.run_until(sim.now() + sim::milliseconds(10));
     }
+    const std::uint64_t timed_out =
+        driver->timed_out + (driver->arrivals_recorded - driver->completed);
 
     OpenLoopResult res;
     res.run.ops = driver->completed;
-    res.run.errors = driver->failed + driver->timed_out;
+    res.run.errors = driver->failed + timed_out;
     finalize_latency(res.run, driver->merged, opts.measure);
     res.run.master_cpu_util =
         (busy_after - busy_before) / static_cast<double>(opts.measure.ns());
@@ -273,7 +276,7 @@ OpenLoopResult run_open_loop(offload::Cluster& cluster,
     res.arrivals = driver->arrivals_recorded;
     res.completed = driver->completed;
     res.failed = driver->failed;
-    res.timed_out = driver->timed_out;
+    res.timed_out = timed_out;
     res.peak_queued = driver->peak_queued;
     for (const auto& c : driver->conns) res.retries += c->retries();
     for (int t = 0; t < YcsbOp::kKindCount; ++t) {

@@ -71,6 +71,8 @@ struct OpenLoopResult {
     std::uint64_t arrivals = 0;  // ops that arrived inside the window
     std::uint64_t completed = 0; // of those, completed before drain ended
     std::uint64_t failed = 0;
+    /// Timed-out window ops, including those still queued or in flight
+    /// when the drain cap expired (arrivals - completed).
     std::uint64_t timed_out = 0;
     std::uint64_t retries = 0; // across all connections, whole run
     /// High-water mark of arrivals waiting for a free connection: the

@@ -125,40 +125,11 @@ TEST_F(BitsCommandTest, Linsert) {
     EXPECT_TRUE(errored());
 }
 
-TEST_F(BitsCommandTest, Zremrangebyrank) {
-    run({"ZADD", "z", "1", "a", "2", "b", "3", "c", "4", "d"});
-    expect_reply({"ZREMRANGEBYRANK", "z", "0", "1"}, ":2\r\n");
-    expect_reply({"ZRANGE", "z", "0", "-1"}, "*2\r\n$1\r\nc\r\n$1\r\nd\r\n");
-    expect_reply({"ZREMRANGEBYRANK", "z", "-1", "-1"}, ":1\r\n");
-    expect_reply({"ZREMRANGEBYRANK", "z", "0", "-1"}, ":1\r\n");
-    EXPECT_FALSE(db_.exists("z"));
-}
-
-TEST_F(BitsCommandTest, Zremrangebyscore) {
-    run({"ZADD", "z", "1", "a", "2", "b", "3", "c"});
-    expect_reply({"ZREMRANGEBYSCORE", "z", "(1", "2"}, ":1\r\n");
-    expect_reply({"ZRANGE", "z", "0", "-1"}, "*2\r\n$1\r\na\r\n$1\r\nc\r\n");
-    expect_reply({"ZREMRANGEBYSCORE", "z", "-inf", "+inf"}, ":2\r\n");
-    EXPECT_FALSE(db_.exists("z"));
-    expect_reply({"ZREMRANGEBYSCORE", "missing", "0", "1"}, ":0\r\n");
-}
-
 TEST_F(BitsCommandTest, Hstrlen) {
     run({"HSET", "h", "f", "hello"});
     expect_reply({"HSTRLEN", "h", "f"}, ":5\r\n");
     expect_reply({"HSTRLEN", "h", "missing"}, ":0\r\n");
     expect_reply({"HSTRLEN", "missing", "f"}, ":0\r\n");
-}
-
-TEST_F(BitsCommandTest, Sintercard) {
-    run({"SADD", "a", "1", "2", "3", "4"});
-    run({"SADD", "b", "2", "3", "4", "5"});
-    expect_reply({"SINTERCARD", "2", "a", "b"}, ":3\r\n");
-    expect_reply({"SINTERCARD", "2", "a", "b", "LIMIT", "2"}, ":2\r\n");
-    expect_reply({"SINTERCARD", "2", "a", "b", "LIMIT", "0"}, ":3\r\n");
-    expect_reply({"SINTERCARD", "2", "a", "missing"}, ":0\r\n");
-    run({"SINTERCARD", "0", "a"});
-    EXPECT_TRUE(errored());
 }
 
 TEST_F(BitsCommandTest, BitOpsReplicate) {

@@ -175,72 +175,12 @@ TEST_F(CommandEdgeTest, RpoplpushWrongDestType) {
     EXPECT_EQ(last_reply_, ":1\r\n");
 }
 
-// --- sets / hashes / zsets -----------------------------------------------------
-
-TEST_F(CommandEdgeTest, SetEncodingUpgradePreservesMembers) {
-    for (int i = 0; i < 40; ++i) run({"SADD", "s", std::to_string(i)});
-    run({"SADD", "s", "word"}); // upgrade intset -> hashtable
-    run({"SCARD", "s"});
-    EXPECT_EQ(last_reply_, ":41\r\n");
-    for (int i = 0; i < 40; i += 7) {
-        run({"SISMEMBER", "s", std::to_string(i)});
-        EXPECT_EQ(last_reply_, ":1\r\n") << i;
-    }
-}
-
-TEST_F(CommandEdgeTest, SmoveSameSourceAndDest) {
-    run({"SADD", "s", "m"});
-    expect_reply({"SMOVE", "s", "s", "m"}, ":1\r\n");
-    run({"SCARD", "s"});
-    EXPECT_EQ(last_reply_, ":1\r\n");
-}
-
-TEST_F(CommandEdgeTest, SrandmemberDoesNotMutate) {
-    run({"SADD", "s", "a", "b"});
-    for (int i = 0; i < 10; ++i) run({"SRANDMEMBER", "s"});
-    run({"SCARD", "s"});
-    EXPECT_EQ(last_reply_, ":2\r\n");
-}
+// --- hashes ---------------------------------------------------------------------
 
 TEST_F(CommandEdgeTest, HincrbyOverflow) {
     run({"HSET", "h", "f", "9223372036854775807"});
     run({"HINCRBY", "h", "f", "1"});
     EXPECT_TRUE(errored());
-}
-
-TEST_F(CommandEdgeTest, ZaddUpdatesReorder) {
-    run({"ZADD", "z", "1", "a", "2", "b", "3", "c"});
-    run({"ZADD", "z", "10", "a"}); // a moves to the end
-    expect_reply({"ZRANGE", "z", "0", "-1"},
-                 "*3\r\n$1\r\nb\r\n$1\r\nc\r\n$1\r\na\r\n");
-    expect_reply({"ZRANK", "z", "a"}, ":2\r\n");
-}
-
-TEST_F(CommandEdgeTest, ZscoreFormatting) {
-    run({"ZADD", "z", "2.5", "m"});
-    expect_reply({"ZSCORE", "z", "m"}, "$3\r\n2.5\r\n");
-    run({"ZADD", "z", "3", "n"});
-    expect_reply({"ZSCORE", "z", "n"}, "$1\r\n3\r\n"); // integral: no ".0"
-}
-
-TEST_F(CommandEdgeTest, ZincrbyToNanRejected) {
-    run({"ZADD", "z", "inf", "m"});
-    run({"ZINCRBY", "z", "-inf", "m"});
-    EXPECT_TRUE(errored());
-    // Score unchanged.
-    run({"ZSCORE", "z", "m"});
-    EXPECT_EQ(last_reply_, "$3\r\ninf\r\n");
-}
-
-TEST_F(CommandEdgeTest, ZrangebyscoreExclusiveBothEnds) {
-    run({"ZADD", "z", "1", "a", "2", "b", "3", "c"});
-    expect_reply({"ZRANGEBYSCORE", "z", "(1", "(3"}, "*1\r\n$1\r\nb\r\n");
-}
-
-TEST_F(CommandEdgeTest, ZCountEmptyRange) {
-    run({"ZADD", "z", "5", "m"});
-    expect_reply({"ZCOUNT", "z", "10", "20"}, ":0\r\n");
-    expect_reply({"ZCOUNT", "missing", "-inf", "+inf"}, ":0\r\n");
 }
 
 // --- lazy expiration through commands -------------------------------------------

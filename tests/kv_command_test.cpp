@@ -53,9 +53,25 @@ TEST_F(CommandTest, TableHasAllFamilies) {
     const auto& t = CommandTable::instance();
     EXPECT_GE(t.size(), 70u);
     for (const char* name :
-         {"GET", "SET", "DEL", "LPUSH", "SADD", "HSET", "ZADD", "PING"}) {
+         {"GET", "SET", "DEL", "LPUSH", "HSET", "SCAN", "SETBIT", "PING"}) {
         EXPECT_NE(t.lookup(name), nullptr) << name;
     }
+}
+
+// The set and sorted-set families are not served.
+TEST_F(CommandTest, RemovedFamiliesAnswerUnknownCommand) {
+    for (const char* name :
+         {"SSCAN", "ZSCAN",
+          "SADD", "SREM", "SISMEMBER", "SCARD", "SMEMBERS", "SPOP",
+          "SRANDMEMBER", "SMOVE", "SUNION", "SINTER", "SDIFF", "SINTERCARD",
+          "ZADD", "ZREM", "ZSCORE", "ZCARD", "ZRANK", "ZREVRANK", "ZINCRBY",
+          "ZRANGE", "ZREVRANGE", "ZRANGEBYSCORE", "ZCOUNT",
+          "ZREMRANGEBYRANK", "ZREMRANGEBYSCORE"}) {
+        const auto res = run({name, "k", "0", "0"});
+        EXPECT_EQ(res.status, ExecResult::Status::kUnknownCommand) << name;
+        EXPECT_EQ(last_reply_.rfind("-ERR unknown command", 0), 0u) << name;
+    }
+    EXPECT_EQ(db_.size(), 0u);
 }
 
 // --- strings ------------------------------------------------------------------
@@ -195,7 +211,8 @@ TEST_F(CommandTest, WrongTypeErrors) {
     EXPECT_EQ(last_reply_.rfind("-WRONGTYPE", 0), 0u);
     run({"INCR", "lst"});
     EXPECT_EQ(last_reply_.rfind("-WRONGTYPE", 0), 0u);
-    run({"SADD", "lst", "x"});
+    run({"SET", "str", "v"});
+    run({"LPUSH", "str", "x"});
     EXPECT_EQ(last_reply_.rfind("-WRONGTYPE", 0), 0u);
 }
 
@@ -238,14 +255,10 @@ TEST_F(CommandTest, ExpireInPastDeletes) {
 TEST_F(CommandTest, TypeCommand) {
     run({"SET", "s", "v"});
     run({"LPUSH", "l", "x"});
-    run({"SADD", "st", "x"});
     run({"HSET", "h", "f", "v"});
-    run({"ZADD", "z", "1", "m"});
     expect_reply({"TYPE", "s"}, "+string\r\n");
     expect_reply({"TYPE", "l"}, "+list\r\n");
-    expect_reply({"TYPE", "st"}, "+set\r\n");
     expect_reply({"TYPE", "h"}, "+hash\r\n");
-    expect_reply({"TYPE", "z"}, "+zset\r\n");
     expect_reply({"TYPE", "none"}, "+none\r\n");
 }
 
@@ -279,10 +292,10 @@ TEST_F(CommandTest, ObjectEncoding) {
     expect_reply({"OBJECT", "ENCODING", "i"}, "$3\r\nint\r\n");
     run({"SET", "r", "abc"});
     expect_reply({"OBJECT", "ENCODING", "r"}, "$3\r\nraw\r\n");
-    run({"SADD", "s", "1"});
-    expect_reply({"OBJECT", "ENCODING", "s"}, "$6\r\nintset\r\n");
-    run({"SADD", "s", "word"});
-    expect_reply({"OBJECT", "ENCODING", "s"}, "$9\r\nhashtable\r\n");
+    run({"RPUSH", "l", "a"});
+    expect_reply({"OBJECT", "ENCODING", "l"}, "$9\r\nquicklist\r\n");
+    run({"HSET", "h", "f", "v"});
+    expect_reply({"OBJECT", "ENCODING", "h"}, "$9\r\nhashtable\r\n");
 }
 
 TEST_F(CommandTest, RandomKeyOnEmptyAndSingle) {
@@ -364,51 +377,6 @@ TEST_F(CommandTest, Rpoplpush) {
                  "*3\r\n$1\r\n3\r\n$1\r\n1\r\n$1\r\n2\r\n");
 }
 
-// --- sets -----------------------------------------------------------------------
-
-TEST_F(CommandTest, SaddSremScard) {
-    expect_reply({"SADD", "s", "a", "b", "a"}, ":2\r\n");
-    expect_reply({"SCARD", "s"}, ":2\r\n");
-    expect_reply({"SISMEMBER", "s", "a"}, ":1\r\n");
-    expect_reply({"SISMEMBER", "s", "z"}, ":0\r\n");
-    expect_reply({"SREM", "s", "a", "z"}, ":1\r\n");
-    expect_reply({"SREM", "s", "b"}, ":1\r\n");
-    EXPECT_FALSE(db_.exists("s")); // empty set removed
-}
-
-TEST_F(CommandTest, SmembersSorted) {
-    run({"SADD", "s", "c", "a", "b"});
-    expect_reply({"SMEMBERS", "s"}, "*3\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n");
-    expect_reply({"SMEMBERS", "none"}, "*0\r\n");
-}
-
-TEST_F(CommandTest, SpopReplicatesAsSrem) {
-    run({"SADD", "s", "x"});
-    const auto res = run({"SPOP", "s"});
-    EXPECT_EQ(last_reply_, "$1\r\nx\r\n");
-    ASSERT_FALSE(res.repl_argv.empty());
-    EXPECT_EQ(res.repl_argv, (std::vector<std::string>{"SREM", "s", "x"}));
-    expect_reply({"SPOP", "s"}, "$-1\r\n");
-}
-
-TEST_F(CommandTest, Smove) {
-    run({"SADD", "a", "m"});
-    expect_reply({"SMOVE", "a", "b", "m"}, ":1\r\n");
-    EXPECT_FALSE(db_.exists("a"));
-    expect_reply({"SISMEMBER", "b", "m"}, ":1\r\n");
-    expect_reply({"SMOVE", "a", "b", "nope"}, ":0\r\n");
-}
-
-TEST_F(CommandTest, SetOperations) {
-    run({"SADD", "s1", "a", "b", "c"});
-    run({"SADD", "s2", "b", "c", "d"});
-    expect_reply({"SUNION", "s1", "s2"},
-                 "*4\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n$1\r\nd\r\n");
-    expect_reply({"SINTER", "s1", "s2"}, "*2\r\n$1\r\nb\r\n$1\r\nc\r\n");
-    expect_reply({"SDIFF", "s1", "s2"}, "*1\r\n$1\r\na\r\n");
-    expect_reply({"SINTER", "s1", "missing"}, "*0\r\n");
-}
-
 // --- hashes ---------------------------------------------------------------------
 
 TEST_F(CommandTest, HsetHget) {
@@ -451,73 +419,6 @@ TEST_F(CommandTest, Hincrby) {
     run({"HSET", "h", "s", "abc"});
     run({"HINCRBY", "h", "s", "1"});
     EXPECT_EQ(last_reply_.front(), '-');
-}
-
-// --- zsets ----------------------------------------------------------------------
-
-TEST_F(CommandTest, ZaddZscoreZcard) {
-    expect_reply({"ZADD", "z", "1", "a", "2", "b"}, ":2\r\n");
-    expect_reply({"ZADD", "z", "3", "a"}, ":0\r\n"); // update
-    expect_reply({"ZSCORE", "z", "a"}, "$1\r\n3\r\n");
-    expect_reply({"ZSCORE", "z", "zz"}, "$-1\r\n");
-    expect_reply({"ZCARD", "z"}, ":2\r\n");
-}
-
-TEST_F(CommandTest, ZaddFlags) {
-    run({"ZADD", "z", "1", "m"});
-    expect_reply({"ZADD", "z", "NX", "5", "m"}, ":0\r\n"); // NX skips update
-    expect_reply({"ZSCORE", "z", "m"}, "$1\r\n1\r\n");
-    expect_reply({"ZADD", "z", "XX", "5", "new"}, ":0\r\n"); // XX skips add
-    EXPECT_FALSE(db_.lookup("z")->zscore("new").has_value());
-    expect_reply({"ZADD", "z", "CH", "7", "m"}, ":1\r\n"); // CH counts changes
-    run({"ZADD", "z", "NX", "XX", "1", "m"});
-    EXPECT_EQ(last_reply_.front(), '-');
-    run({"ZADD", "z", "1"}); // missing member
-    EXPECT_EQ(last_reply_.front(), '-');
-    run({"ZADD", "z", "notanumber", "m"});
-    EXPECT_EQ(last_reply_.front(), '-');
-}
-
-TEST_F(CommandTest, ZrankZrevrank) {
-    run({"ZADD", "z", "1", "a", "2", "b", "3", "c"});
-    expect_reply({"ZRANK", "z", "a"}, ":0\r\n");
-    expect_reply({"ZRANK", "z", "c"}, ":2\r\n");
-    expect_reply({"ZREVRANK", "z", "c"}, ":0\r\n");
-    expect_reply({"ZRANK", "z", "zz"}, "$-1\r\n");
-}
-
-TEST_F(CommandTest, Zrange) {
-    run({"ZADD", "z", "1", "a", "2", "b", "3", "c"});
-    expect_reply({"ZRANGE", "z", "0", "-1"},
-                 "*3\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n");
-    expect_reply({"ZRANGE", "z", "0", "0", "WITHSCORES"},
-                 "*2\r\n$1\r\na\r\n$1\r\n1\r\n");
-    expect_reply({"ZREVRANGE", "z", "0", "0"}, "*1\r\n$1\r\nc\r\n");
-    expect_reply({"ZRANGE", "z", "5", "9"}, "*0\r\n");
-}
-
-TEST_F(CommandTest, ZrangeByScoreAndCount) {
-    run({"ZADD", "z", "1", "a", "2", "b", "3", "c"});
-    expect_reply({"ZRANGEBYSCORE", "z", "2", "3"},
-                 "*2\r\n$1\r\nb\r\n$1\r\nc\r\n");
-    expect_reply({"ZRANGEBYSCORE", "z", "(1", "3"},
-                 "*2\r\n$1\r\nb\r\n$1\r\nc\r\n");
-    expect_reply({"ZRANGEBYSCORE", "z", "-inf", "+inf"},
-                 "*3\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n");
-    expect_reply({"ZCOUNT", "z", "1", "2"}, ":2\r\n");
-    expect_reply({"ZCOUNT", "z", "(1", "(3"}, ":1\r\n");
-    run({"ZRANGEBYSCORE", "z", "junk", "3"});
-    EXPECT_EQ(last_reply_.front(), '-');
-}
-
-TEST_F(CommandTest, ZremAndZincrby) {
-    run({"ZADD", "z", "1", "a"});
-    const auto res = run({"ZINCRBY", "z", "2.5", "a"});
-    EXPECT_EQ(last_reply_, "$3\r\n3.5\r\n");
-    ASSERT_FALSE(res.repl_argv.empty());
-    EXPECT_EQ(res.repl_argv[0], "ZADD"); // absolute-score rewrite
-    expect_reply({"ZREM", "z", "a", "zz"}, ":1\r\n");
-    EXPECT_FALSE(db_.exists("z"));
 }
 
 // --- server ---------------------------------------------------------------------

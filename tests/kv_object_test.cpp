@@ -42,72 +42,6 @@ TEST(ObjectString, SetSwitchesEncoding) {
     EXPECT_EQ(o->encoding(), ObjEncoding::kRaw);
 }
 
-TEST(ObjectSet, IntsetUntilNonInteger) {
-    auto o = Object::make_set();
-    EXPECT_TRUE(o->set_add("1"));
-    EXPECT_TRUE(o->set_add("2"));
-    EXPECT_EQ(o->encoding(), ObjEncoding::kIntSet);
-    EXPECT_TRUE(o->set_add("banana"));
-    EXPECT_EQ(o->encoding(), ObjEncoding::kHashTable);
-    EXPECT_TRUE(o->set_contains("1"));
-    EXPECT_TRUE(o->set_contains("banana"));
-    EXPECT_EQ(o->set_size(), 3u);
-}
-
-TEST(ObjectSet, IntsetUpgradeOnSize) {
-    auto o = Object::make_set();
-    for (std::size_t i = 0; i <= Object::kSetMaxIntsetEntries; ++i) {
-        o->set_add(ll2string(static_cast<long long>(i)));
-    }
-    EXPECT_EQ(o->encoding(), ObjEncoding::kHashTable);
-    EXPECT_EQ(o->set_size(), Object::kSetMaxIntsetEntries + 1);
-    EXPECT_TRUE(o->set_contains("0"));
-}
-
-TEST(ObjectSet, RemoveAndPop) {
-    auto o = Object::make_set();
-    o->set_add("1");
-    o->set_add("2");
-    EXPECT_TRUE(o->set_remove("1"));
-    EXPECT_FALSE(o->set_remove("1"));
-    sim::Rng rng(1);
-    const auto popped = o->set_pop(rng);
-    ASSERT_TRUE(popped.has_value());
-    EXPECT_EQ(*popped, "2");
-    EXPECT_EQ(o->set_size(), 0u);
-    EXPECT_FALSE(o->set_pop(rng).has_value());
-}
-
-TEST(ObjectSet, MembersMatchInsertions) {
-    auto o = Object::make_set();
-    o->set_add("x");
-    o->set_add("y");
-    auto members = o->set_members();
-    std::sort(members.begin(), members.end());
-    EXPECT_EQ(members, (std::vector<std::string>{"x", "y"}));
-}
-
-TEST(ObjectZSet, AddScoreRank) {
-    auto o = Object::make_zset();
-    EXPECT_TRUE(o->zadd(2.0, "b"));
-    EXPECT_TRUE(o->zadd(1.0, "a"));
-    EXPECT_FALSE(o->zadd(3.0, "a")); // update, not add
-    EXPECT_EQ(o->zcard(), 2u);
-    EXPECT_DOUBLE_EQ(*o->zscore("a"), 3.0);
-    EXPECT_EQ(*o->zrank("b"), 0u);
-    EXPECT_EQ(*o->zrank("a"), 1u);
-    EXPECT_FALSE(o->zrank("zzz").has_value());
-}
-
-TEST(ObjectZSet, Remove) {
-    auto o = Object::make_zset();
-    o->zadd(1.0, "a");
-    EXPECT_TRUE(o->zrem("a"));
-    EXPECT_FALSE(o->zrem("a"));
-    EXPECT_EQ(o->zcard(), 0u);
-    EXPECT_FALSE(o->zscore("a").has_value());
-}
-
 TEST(ObjectEquals, Strings) {
     EXPECT_TRUE(Object::make_string("42")->equals(*Object::make_string("42")));
     EXPECT_FALSE(Object::make_string("a")->equals(*Object::make_string("b")));
@@ -131,20 +65,7 @@ TEST(ObjectEquals, Lists) {
     EXPECT_FALSE(a->equals(*b));
 }
 
-TEST(ObjectEquals, SetsAcrossEncodings) {
-    auto a = Object::make_set();
-    auto b = Object::make_set();
-    a->set_add("1");
-    a->set_add("2");
-    b->set_add("2");
-    b->set_add("1");
-    b->set_add("pad"); // force hashtable
-    b->set_remove("pad");
-    EXPECT_TRUE(a->equals(*b));
-    EXPECT_NE(a->encoding(), b->encoding());
-}
-
-TEST(ObjectEquals, HashesAndZsets) {
+TEST(ObjectEquals, Hashes) {
     auto h1 = Object::make_hash();
     auto h2 = Object::make_hash();
     h1->hash().set(Sds("f"), Sds("v"));
@@ -152,14 +73,6 @@ TEST(ObjectEquals, HashesAndZsets) {
     EXPECT_TRUE(h1->equals(*h2));
     h2->hash().set(Sds("f"), Sds("w"));
     EXPECT_FALSE(h1->equals(*h2));
-
-    auto z1 = Object::make_zset();
-    auto z2 = Object::make_zset();
-    z1->zadd(1.5, "m");
-    z2->zadd(1.5, "m");
-    EXPECT_TRUE(z1->equals(*z2));
-    z2->zadd(2.5, "m");
-    EXPECT_FALSE(z1->equals(*z2));
 }
 
 TEST(ObjectMemory, GrowsWithContent) {
@@ -170,6 +83,12 @@ TEST(ObjectMemory, GrowsWithContent) {
     const auto empty = lst->memory_bytes();
     for (int i = 0; i < 100; ++i) lst->list().push_back(Sds("element"));
     EXPECT_GT(lst->memory_bytes(), empty);
+}
+
+TEST(ObjectMemory, StringCarriesNoListStorage) {
+    // The list and hash payloads are allocated by make_list and make_hash,
+    // not embedded.
+    EXPECT_LT(sizeof(Object), sizeof(std::deque<Sds>));
 }
 
 } // namespace

@@ -84,20 +84,6 @@ TEST_F(ScanCommandTest, ScanInvalidCursorAndOptions) {
     EXPECT_EQ(out.front(), '-');
 }
 
-TEST_F(ScanCommandTest, SscanReturnsMembers) {
-    run({"SADD", "s", "alpha", "beta", "gamma"});
-    const auto v = run({"SSCAN", "s", "0"});
-    EXPECT_EQ(v.elems[0].str, "0");
-    ASSERT_EQ(v.elems[1].elems.size(), 3u);
-    EXPECT_EQ(v.elems[1].elems[0].str, "alpha");
-}
-
-TEST_F(ScanCommandTest, SscanMatch) {
-    run({"SADD", "s", "aa", "ab", "bb"});
-    const auto v = run({"SSCAN", "s", "0", "MATCH", "a*"});
-    ASSERT_EQ(v.elems[1].elems.size(), 2u);
-}
-
 TEST_F(ScanCommandTest, HscanReturnsPairs) {
     run({"HSET", "h", "f1", "v1", "f2", "v2"});
     const auto v = run({"HSCAN", "h", "0"});
@@ -106,27 +92,16 @@ TEST_F(ScanCommandTest, HscanReturnsPairs) {
     EXPECT_EQ(v.elems[1].elems[1].str, "v1");
 }
 
-TEST_F(ScanCommandTest, ZscanReturnsMembersWithScores) {
-    run({"ZADD", "z", "1", "a", "2.5", "b"});
-    const auto v = run({"ZSCAN", "z", "0"});
-    ASSERT_EQ(v.elems[1].elems.size(), 4u);
-    EXPECT_EQ(v.elems[1].elems[0].str, "a");
-    EXPECT_EQ(v.elems[1].elems[1].str, "1");
-    EXPECT_EQ(v.elems[1].elems[3].str, "2.5");
-}
-
 TEST_F(ScanCommandTest, ScansOnMissingKeysReturnEmpty) {
-    for (const char* cmd : {"SSCAN", "HSCAN", "ZSCAN"}) {
-        const auto v = run({cmd, "missing", "0"});
-        EXPECT_EQ(v.elems[0].str, "0") << cmd;
-        EXPECT_TRUE(v.elems[1].elems.empty()) << cmd;
-    }
+    const auto v = run({"HSCAN", "missing", "0"});
+    EXPECT_EQ(v.elems[0].str, "0");
+    EXPECT_TRUE(v.elems[1].elems.empty());
 }
 
 TEST_F(ScanCommandTest, ScanWrongType) {
     run({"SET", "str", "v"});
     std::string out;
-    CommandTable::instance().execute(db_, rng_, {"SSCAN", "str", "0"}, out);
+    CommandTable::instance().execute(db_, rng_, {"HSCAN", "str", "0"}, out);
     EXPECT_EQ(out.rfind("-WRONGTYPE", 0), 0u);
 }
 

