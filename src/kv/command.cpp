@@ -35,10 +35,7 @@ CommandTable::CommandTable() {
     register_string_commands(*this);
     register_key_commands(*this);
     register_list_commands(*this);
-    register_hash_commands(*this);
     register_server_commands(*this);
-    register_scan_commands(*this);
-    register_bit_commands(*this);
 }
 
 const CommandTable& CommandTable::instance() {

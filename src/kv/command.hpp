@@ -114,16 +114,13 @@ private:
 };
 
 /// Glob-style pattern match (Redis stringmatchlen): *, ?, [class], \escape.
-/// Used by KEYS and the SCAN family's MATCH option.
+/// Used by KEYS.
 bool glob_match(std::string_view pattern, std::string_view str);
 
 // Per-family registration (defined in commands_*.cpp).
 void register_string_commands(CommandTable& t);
 void register_key_commands(CommandTable& t);
 void register_list_commands(CommandTable& t);
-void register_hash_commands(CommandTable& t);
 void register_server_commands(CommandTable& t);
-void register_scan_commands(CommandTable& t);
-void register_bit_commands(CommandTable& t);
 
 } // namespace skv::kv

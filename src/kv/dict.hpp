@@ -21,9 +21,9 @@ std::uint64_t dict_hash(std::string_view key);
 /// latency of any single command — the property that keeps the Host-KV
 /// event loop responsive and that dict_test verifies.
 ///
-/// Keys are Sds; values are V (moved in). Iteration, SCAN-style cursors
-/// (reverse-binary, stable across rehashes) and uniform random sampling
-/// (for active expiry) are supported, as the engine needs all three.
+/// Keys are Sds; values are V (moved in). Iteration and uniform random
+/// sampling (for active expiry and RANDOMKEY) are supported, as the engine
+/// needs both.
 template <typename V>
 class Dict {
 public:
@@ -146,41 +146,6 @@ public:
         }
     }
 
-    /// SCAN-style iteration: visits every entry at least once across a
-    /// full cursor cycle even if rehashes happen between calls. Returns the
-    /// next cursor; 0 means the scan completed. Uses Pieter Noordhuis's
-    /// reverse-binary-increment algorithm, as Redis does.
-    template <typename Fn> // Fn(const Sds&, const V&)
-    std::uint64_t scan(std::uint64_t cursor, Fn&& fn) const {
-        if (size() == 0) return 0;
-        if (!rehashing()) {
-            const std::uint64_t m = mask(0);
-            for (const auto& e : table_[0][cursor & m]) fn(e.key, e.val);
-            cursor |= ~m;
-            cursor = reverse_bits(cursor);
-            ++cursor;
-            cursor = reverse_bits(cursor);
-            return cursor;
-        }
-        // Two tables: visit the bucket in the smaller, then all buckets in
-        // the larger that map onto it.
-        int small = 0;
-        int large = 1;
-        if (table_[small].size() > table_[large].size()) std::swap(small, large);
-        const std::uint64_t ms = mask(small);
-        const std::uint64_t ml = mask(large);
-        for (const auto& e : table_[small][cursor & ms]) fn(e.key, e.val);
-        std::uint64_t c = cursor;
-        do {
-            for (const auto& e : table_[large][c & ml]) fn(e.key, e.val);
-            c |= ~ml;
-            c = reverse_bits(c);
-            ++c;
-            c = reverse_bits(c);
-        } while ((c & (ms ^ ml)) != 0);
-        return c;
-    }
-
     /// Perform up to `n` bucket migrations immediately (the server's cron
     /// calls this to make progress when the keyspace is idle).
     void rehash_step(std::size_t n) {
@@ -198,15 +163,6 @@ private:
 
     [[nodiscard]] std::uint64_t mask(int t) const {
         return table_[t].empty() ? 0 : table_[t].size() - 1;
-    }
-
-    static std::uint64_t reverse_bits(std::uint64_t v) {
-        v = ((v >> 1) & 0x5555555555555555ULL) | ((v & 0x5555555555555555ULL) << 1);
-        v = ((v >> 2) & 0x3333333333333333ULL) | ((v & 0x3333333333333333ULL) << 2);
-        v = ((v >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((v & 0x0F0F0F0F0F0F0F0FULL) << 4);
-        v = ((v >> 8) & 0x00FF00FF00FF00FFULL) | ((v & 0x00FF00FF00FF00FFULL) << 8);
-        v = ((v >> 16) & 0x0000FFFF0000FFFFULL) | ((v & 0x0000FFFF0000FFFFULL) << 16);
-        return (v >> 32) | (v << 32);
     }
 
     V* find_nostep(const Sds& key) {

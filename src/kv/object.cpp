@@ -8,7 +8,6 @@ const char* to_string(ObjType t) {
     switch (t) {
         case ObjType::kString: return "string";
         case ObjType::kList: return "list";
-        case ObjType::kHash: return "hash";
     }
     return "?";
 }
@@ -18,7 +17,6 @@ const char* to_string(ObjEncoding e) {
         case ObjEncoding::kInt: return "int";
         case ObjEncoding::kRaw: return "raw";
         case ObjEncoding::kQuickList: return "quicklist";
-        case ObjEncoding::kHashTable: return "hashtable";
     }
     return "?";
 }
@@ -27,26 +25,20 @@ ObjectPtr Object::make_string(std::string_view v) {
     if (auto ll = string2ll(v)) {
         return make_string_ll(*ll);
     }
-    auto o = ObjectPtr(new Object(ObjType::kString, ObjEncoding::kRaw));
+    auto o = std::make_shared<Object>(Key{}, ObjType::kString, ObjEncoding::kRaw);
     o->str_.assign(v);
     return o;
 }
 
 ObjectPtr Object::make_string_ll(long long v) {
-    auto o = ObjectPtr(new Object(ObjType::kString, ObjEncoding::kInt));
+    auto o = std::make_shared<Object>(Key{}, ObjType::kString, ObjEncoding::kInt);
     o->ival_ = v;
     return o;
 }
 
 ObjectPtr Object::make_list() {
-    auto o = ObjectPtr(new Object(ObjType::kList, ObjEncoding::kQuickList));
+    auto o = std::make_shared<Object>(Key{}, ObjType::kList, ObjEncoding::kQuickList);
     o->list_ = std::make_unique<std::deque<Sds>>();
-    return o;
-}
-
-ObjectPtr Object::make_hash() {
-    auto o = ObjectPtr(new Object(ObjType::kHash, ObjEncoding::kHashTable));
-    o->hash_ = std::make_unique<Dict<Sds>>();
     return o;
 }
 
@@ -107,18 +99,6 @@ const std::deque<Sds>& Object::list() const {
     return *list_;
 }
 
-// --- hash -------------------------------------------------------------------
-
-Dict<Sds>& Object::hash() {
-    SKV_DCHECK(type_ == ObjType::kHash);
-    return *hash_;
-}
-
-const Dict<Sds>& Object::hash() const {
-    SKV_DCHECK(type_ == ObjType::kHash);
-    return *hash_;
-}
-
 // --- misc ----------------------------------------------------------------------
 
 std::size_t Object::memory_bytes() const {
@@ -131,12 +111,6 @@ std::size_t Object::memory_bytes() const {
             n += sizeof(std::deque<Sds>);
             for (const auto& e : *list_) n += sizeof(Sds) + e.capacity();
             break;
-        case ObjType::kHash:
-            n += sizeof(Dict<Sds>);
-            hash_->for_each([&](const Sds& k, const Sds& v) {
-                n += 2 * sizeof(Sds) + k.capacity() + v.capacity();
-            });
-            break;
     }
     return n;
 }
@@ -148,15 +122,6 @@ bool Object::equals(const Object& o) const {
             return string_value() == o.string_value();
         case ObjType::kList:
             return *list_ == *o.list_;
-        case ObjType::kHash: {
-            if (hash_->size() != o.hash_->size()) return false;
-            bool same = true;
-            hash_->for_each([&](const Sds& k, const Sds& v) {
-                const Sds* ov = o.hash_->find(k);
-                if (ov == nullptr || !(*ov == v)) same = false;
-            });
-            return same;
-        }
     }
     return false;
 }

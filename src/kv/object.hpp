@@ -6,17 +6,15 @@
 #include <optional>
 #include <string>
 
-#include "kv/dict.hpp"
 #include "kv/sds.hpp"
 
 namespace skv::kv {
 
-enum class ObjType : std::uint8_t { kString, kList, kHash };
+enum class ObjType : std::uint8_t { kString, kList };
 enum class ObjEncoding : std::uint8_t {
     kInt,       // string holding a long long
     kRaw,       // sds string
     kQuickList, // list of sds
-    kHashTable, // dict-backed hash
 };
 
 const char* to_string(ObjType t);
@@ -26,16 +24,24 @@ class Object;
 using ObjectPtr = std::shared_ptr<Object>;
 
 /// A Redis object: a type tag, an encoding, and the payload. Strings that
-/// parse as integers use the int encoding, as in Redis. The list and hash
-/// payloads live behind pointers that only `make_list` and `make_hash`
-/// fill, so a string value carries no container storage.
+/// parse as integers use the int encoding, as in Redis. The list payload
+/// lives behind a pointer that only `make_list` fills, so a string value
+/// carries no container storage. Each object shares one allocation with
+/// its `shared_ptr` control block.
 class Object {
+    /// Passkey: only Object's factories can name it, so the public
+    /// constructor `std::make_shared` needs is closed to other callers.
+    struct Key {
+        explicit Key() = default;
+    };
+
 public:
     // --- constructors -----------------------------------------------------
     static ObjectPtr make_string(std::string_view v);
     static ObjectPtr make_string_ll(long long v);
     static ObjectPtr make_list();
-    static ObjectPtr make_hash();
+
+    Object(Key, ObjType t, ObjEncoding e) : type_(t), encoding_(e) {}
 
     [[nodiscard]] ObjType type() const { return type_; }
     [[nodiscard]] ObjEncoding encoding() const { return encoding_; }
@@ -56,10 +62,6 @@ public:
     [[nodiscard]] std::deque<Sds>& list();
     [[nodiscard]] const std::deque<Sds>& list() const;
 
-    // --- hash ---------------------------------------------------------------
-    [[nodiscard]] Dict<Sds>& hash();
-    [[nodiscard]] const Dict<Sds>& hash() const;
-
     /// Approximate heap footprint, reported by INFO `used_memory`.
     [[nodiscard]] std::size_t memory_bytes() const;
 
@@ -67,8 +69,6 @@ public:
     [[nodiscard]] bool equals(const Object& o) const;
 
 private:
-    Object(ObjType t, ObjEncoding e) : type_(t), encoding_(e) {}
-
     ObjType type_;
     ObjEncoding encoding_;
 
@@ -77,8 +77,6 @@ private:
     Sds str_;
     // list payload (lists only)
     std::unique_ptr<std::deque<Sds>> list_;
-    // hash payload (hashes only)
-    std::unique_ptr<Dict<Sds>> hash_;
 };
 
 } // namespace skv::kv

@@ -11,11 +11,10 @@ namespace {
 
 constexpr std::string_view kMagic = "SKVRDB01";
 
-// Record opcodes. 2 and 4 are retired (set and sorted-set records): a
-// record carrying one loads as kCorrupt.
+// Record opcodes. 2, 3 and 4 are retired (set, hash and sorted-set
+// records): a record carrying one loads as kCorrupt.
 constexpr std::uint8_t kOpString = 0;
 constexpr std::uint8_t kOpList = 1;
-constexpr std::uint8_t kOpHash = 3;
 constexpr std::uint8_t kOpExpireMs = 0xFD;
 constexpr std::uint8_t kOpEof = 0xFF;
 
@@ -102,7 +101,6 @@ std::uint8_t type_opcode(const Object& o) {
     switch (o.type()) {
         case ObjType::kString: return kOpString;
         case ObjType::kList: return kOpList;
-        case ObjType::kHash: return kOpHash;
     }
     return kOpString;
 }
@@ -115,21 +113,6 @@ void save_payload(std::string& out, const Object& o) {
         case ObjType::kList: {
             put_len(out, o.list().size());
             for (const auto& e : o.list()) put_string(out, e.view());
-            break;
-        }
-        case ObjType::kHash: {
-            // Sorted fields keep snapshots byte-identical across runs.
-            std::vector<std::pair<std::string, std::string>> pairs;
-            pairs.reserve(o.hash().size());
-            o.hash().for_each([&](const Sds& k, const Sds& v) {
-                pairs.emplace_back(k.str(), v.str());
-            });
-            std::sort(pairs.begin(), pairs.end());
-            put_len(out, pairs.size());
-            for (const auto& [k, v] : pairs) {
-                put_string(out, k);
-                put_string(out, v);
-            }
             break;
         }
     }
@@ -153,19 +136,6 @@ ObjectPtr load_object(std::string_view in, std::size_t* p, std::uint8_t op,
                 std::string s;
                 if (!get_string(in, p, &s)) return nullptr;
                 o->list().push_back(Sds(s));
-            }
-            *ok = true;
-            return o;
-        }
-        case kOpHash: {
-            std::uint64_t n = 0;
-            if (!get_len(in, p, &n)) return nullptr;
-            auto o = Object::make_hash();
-            for (std::uint64_t i = 0; i < n; ++i) {
-                std::string k;
-                std::string v;
-                if (!get_string(in, p, &k) || !get_string(in, p, &v)) return nullptr;
-                o->hash().set(Sds(k), Sds(v));
             }
             *ok = true;
             return o;

@@ -173,7 +173,7 @@ private:
     std::uint64_t bytes_ = 0;
     std::uint64_t dropped_in_flight_ = 0;
     std::unique_ptr<FaultInjector> faults_;
-    obs::Registry obs_{"fabric"};
+    obs::Registry obs_;
     obs::Counter c_sends_;
     obs::Counter c_bytes_;
     obs::Counter c_delivers_;

@@ -7,7 +7,7 @@ namespace skv::nic {
 SmartNic::SmartNic(sim::Simulation& sim, net::Fabric& fabric,
                    net::EndpointId host, const std::string& name,
                    SmartNicParams params)
-    : host_(host), name_(name), params_(params), obs_(name),
+    : host_(host), name_(name), params_(params),
       c_mem_rejects_(obs_.counter_handle("mem_reserve_rejects")),
       g_mem_used_(obs_.gauge_handle("mem_used_bytes")),
       g_steering_rules_(obs_.gauge_handle("steering_rules")) {

@@ -88,24 +88,4 @@ Snapshot Registry::snapshot() const {
     return s;
 }
 
-Snapshot Snapshot::delta_since(const Snapshot& older) const {
-    Snapshot d;
-    for (const auto& [k, v] : counters) {
-        const auto it = older.counters.find(k);
-        const std::uint64_t base = it != older.counters.end() ? it->second : 0;
-        d.counters[k] = v >= base ? v - base : 0;
-    }
-    d.gauges = gauges;
-    for (const auto& [k, v] : timers) {
-        const auto it = older.timers.find(k);
-        TimerStats t = v;
-        if (it != older.timers.end()) {
-            t.count = v.count >= it->second.count ? v.count - it->second.count : 0;
-            t.sum_ns = v.sum_ns - it->second.sum_ns;
-        }
-        d.timers[k] = t;
-    }
-    return d;
-}
-
 } // namespace skv::obs

@@ -75,9 +75,7 @@ private:
     sim::LatencyHistogram* hist_ = nullptr;
 };
 
-/// Point-in-time copy of a Registry, used for measurement-window deltas and
-/// by the exporters. Maps keep iteration (and therefore export) order
-/// deterministic.
+/// Point-in-time copy of a Registry; maps keep iteration order deterministic.
 struct Snapshot {
     struct TimerStats {
         std::uint64_t count = 0;
@@ -91,11 +89,6 @@ struct Snapshot {
     std::map<std::string, std::uint64_t> counters;
     std::map<std::string, std::int64_t> gauges;
     std::map<std::string, TimerStats> timers;
-
-    /// Per-window delta: counters and timer counts/sums subtract `older`
-    /// (missing-in-older keys keep their full value); gauges and timer
-    /// percentiles are point-in-time and keep the newer value.
-    [[nodiscard]] Snapshot delta_since(const Snapshot& older) const;
 };
 
 /// Per-node metric registry. Two faces:
@@ -112,7 +105,6 @@ struct Snapshot {
 class Registry {
 public:
     Registry() = default;
-    explicit Registry(std::string scope) : scope_(std::move(scope)) {}
 
     Registry(const Registry&) = delete;
     Registry& operator=(const Registry&) = delete;
@@ -134,11 +126,9 @@ public:
     /// Zero every cell. Handles remain valid.
     void clear();
 
-    [[nodiscard]] const std::string& scope() const { return scope_; }
     [[nodiscard]] Snapshot snapshot() const;
 
 private:
-    std::string scope_;
     // Cells live in deques so handle pointers survive growth.
     std::deque<std::uint64_t> counter_cells_;
     std::deque<std::int64_t> gauge_cells_;

@@ -299,7 +299,7 @@ private:
     std::uint32_t next_rkey_ = 1;
     std::uint64_t writes_unknown_mr_ = 0;
     std::map<std::uint32_t, std::weak_ptr<MemoryRegion>> mrs_;
-    obs::Registry obs_{"rdma"};
+    obs::Registry obs_;
     obs::Counter c_wr_posts_;
     obs::Counter c_write_imm_;
     obs::Counter c_mr_regs_;

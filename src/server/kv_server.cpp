@@ -41,7 +41,7 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
       rng_(sim.fork_rng()),
       db_([&sim]() { return sim.now().ns() / 1'000'000; }),
       backlog_(cfg_.backlog_bytes),
-      commands_table_(kv::CommandTable::instance()), stats_(cfg_.name),
+      commands_table_(kv::CommandTable::instance()),
       c_reads_(stats_.counter_handle("reads")),
       c_writes_(stats_.counter_handle("writes")),
       c_repl_offload_(stats_.counter_handle("repl_offload_requests")),

@@ -15,7 +15,7 @@ NicKv::NicKv(sim::Simulation& sim, const cpu::CostModel& costs,
              server::ReliableParams reliable, server::ReplicationMode mode)
     : sim_(sim), costs_(costs), cm_(cm), nic_(nic), cfg_(std::move(cfg)),
       reliable_(reliable), rng_(sim.fork_rng()),
-      repl_(make_nic_replication(*this, mode)), stats_(cfg_.name),
+      repl_(make_nic_replication(*this, mode)),
       c_fanout_sends_(stats_.counter_handle("fanout_sends")),
       c_repl_requests_(stats_.counter_handle("repl_requests")) {}
 

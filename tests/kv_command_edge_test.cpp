@@ -165,6 +165,18 @@ TEST_F(CommandEdgeTest, LremZeroMatches) {
     expect_reply({"LREM", "l", "0", "zzz"}, ":0\r\n");
 }
 
+TEST_F(CommandEdgeTest, Linsert) {
+    run({"RPUSH", "l", "a", "c"});
+    expect_reply({"LINSERT", "l", "BEFORE", "c", "b"}, ":3\r\n");
+    expect_reply({"LRANGE", "l", "0", "-1"},
+                 "*3\r\n$1\r\na\r\n$1\r\nb\r\n$1\r\nc\r\n");
+    expect_reply({"LINSERT", "l", "AFTER", "c", "d"}, ":4\r\n");
+    expect_reply({"LINSERT", "l", "BEFORE", "zzz", "x"}, ":-1\r\n");
+    expect_reply({"LINSERT", "missing", "BEFORE", "a", "x"}, ":0\r\n");
+    run({"LINSERT", "l", "SIDEWAYS", "a", "x"});
+    EXPECT_TRUE(errored());
+}
+
 TEST_F(CommandEdgeTest, RpoplpushWrongDestType) {
     run({"RPUSH", "src", "x"});
     run({"SET", "dst", "str"});
@@ -173,14 +185,6 @@ TEST_F(CommandEdgeTest, RpoplpushWrongDestType) {
     // Source untouched on type error.
     run({"LLEN", "src"});
     EXPECT_EQ(last_reply_, ":1\r\n");
-}
-
-// --- hashes ---------------------------------------------------------------------
-
-TEST_F(CommandEdgeTest, HincrbyOverflow) {
-    run({"HSET", "h", "f", "9223372036854775807"});
-    run({"HINCRBY", "h", "f", "1"});
-    EXPECT_TRUE(errored());
 }
 
 // --- lazy expiration through commands -------------------------------------------

@@ -114,41 +114,6 @@ TEST(Dict, RandomEntryEmpty) {
     EXPECT_EQ(v, nullptr);
 }
 
-TEST(Dict, ScanVisitsEveryKeyOnce) {
-    Dict<int> d;
-    for (int i = 0; i < 1000; ++i) d.insert(key(i), i);
-    std::set<std::string> seen;
-    std::uint64_t cursor = 0;
-    int guard = 0;
-    do {
-        cursor = d.scan(cursor, [&](const Sds& k, const int&) {
-            seen.insert(k.str());
-        });
-    } while (cursor != 0 && guard++ < 100'000);
-    EXPECT_EQ(seen.size(), 1000u);
-}
-
-TEST(Dict, ScanWithConcurrentInsertsSeesAllOldKeys) {
-    Dict<int> d;
-    for (int i = 0; i < 256; ++i) d.insert(key(i), i);
-    std::set<std::string> seen;
-    std::uint64_t cursor = 0;
-    int added = 1000;
-    int guard = 0;
-    do {
-        cursor = d.scan(cursor, [&](const Sds& k, const int&) {
-            seen.insert(k.str());
-        });
-        // Mutate between scan calls: triggers growth + rehash mid-scan.
-        d.insert(key(added), added);
-        ++added;
-    } while (cursor != 0 && guard++ < 100'000);
-    // SCAN guarantees: keys present for the whole scan are seen.
-    for (int i = 0; i < 256; ++i) {
-        EXPECT_TRUE(seen.contains(key(i).str())) << i;
-    }
-}
-
 TEST(Dict, ClearEmpties) {
     Dict<int> d;
     for (int i = 0; i < 100; ++i) d.insert(key(i), i);

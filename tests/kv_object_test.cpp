@@ -65,16 +65,6 @@ TEST(ObjectEquals, Lists) {
     EXPECT_FALSE(a->equals(*b));
 }
 
-TEST(ObjectEquals, Hashes) {
-    auto h1 = Object::make_hash();
-    auto h2 = Object::make_hash();
-    h1->hash().set(Sds("f"), Sds("v"));
-    h2->hash().set(Sds("f"), Sds("v"));
-    EXPECT_TRUE(h1->equals(*h2));
-    h2->hash().set(Sds("f"), Sds("w"));
-    EXPECT_FALSE(h1->equals(*h2));
-}
-
 TEST(ObjectMemory, GrowsWithContent) {
     auto small = Object::make_string("a");
     auto big = Object::make_string(std::string(10'000, 'b'));
@@ -86,8 +76,7 @@ TEST(ObjectMemory, GrowsWithContent) {
 }
 
 TEST(ObjectMemory, StringCarriesNoListStorage) {
-    // The list and hash payloads are allocated by make_list and make_hash,
-    // not embedded.
+    // The list payload is allocated by make_list, not embedded.
     EXPECT_LT(sizeof(Object), sizeof(std::deque<Sds>));
 }
 

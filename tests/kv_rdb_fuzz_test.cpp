@@ -29,7 +29,7 @@ std::string random_bytes(sim::Rng& rng, std::size_t max_len) {
     return s;
 }
 
-/// A keyspace of raw strings, int strings, lists and hashes, ~1 in 3 keys
+/// A keyspace of raw strings, int strings and lists, ~1 in 3 keys
 /// with an expiry (some already past). Values up to 100 bytes exercise both the
 /// 6-bit and the 14-bit length prefixes.
 std::string random_snapshot(sim::Rng& rng) {
@@ -37,7 +37,7 @@ std::string random_snapshot(sim::Rng& rng) {
     const std::size_t keys = 1 + rng.next_below(10);
     for (std::size_t i = 0; i < keys; ++i) {
         const std::string key = "k" + std::to_string(rng.next_below(16));
-        switch (rng.next_below(4)) {
+        switch (rng.next_below(3)) {
         case 0:
             db.set(key, Object::make_string(random_bytes(rng, 100)));
             break;
@@ -45,15 +45,6 @@ std::string random_snapshot(sim::Rng& rng) {
             db.set(key, Object::make_string_ll(
                             static_cast<long long>(rng.next_u64())));
             break;
-        case 2: {
-            auto h = Object::make_hash();
-            const std::size_t n = rng.next_below(5);
-            for (std::size_t j = 0; j < n; ++j) {
-                h->hash().set(Sds(random_bytes(rng, 20)), Sds(random_bytes(rng, 20)));
-            }
-            db.set(key, h);
-            break;
-        }
         default: {
             auto lst = Object::make_list();
             const std::size_t n = rng.next_below(5);
@@ -113,7 +104,7 @@ void mutate(std::string& body, sim::Rng& rng) {
             rewrite_length(body, pos, rng);
             break;
         default: {
-            // Record opcodes, the removed set/zset ones included.
+            // Record opcodes, the removed set/hash/zset ones included.
             const char ops[] = {'\x00', '\x01', '\x02', '\x03', '\x04',
                                 '\xFD', '\xFF'};
             body[pos] = ops[rng.next_below(sizeof(ops))];

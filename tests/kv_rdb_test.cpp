@@ -17,10 +17,6 @@ void fill(Database& db) {
     lst->list().push_back(Sds("a"));
     lst->list().push_back(Sds("b"));
     db.set("lst", lst);
-    auto h = Object::make_hash();
-    h->hash().set(Sds("f1"), Sds("v1"));
-    h->hash().set(Sds("f2"), Sds("v2"));
-    db.set("hsh", h);
     db.set_expire("str", 5000);
 }
 
@@ -148,7 +144,7 @@ TEST(Rdb, RandomizedRoundTripSeeded) {
         for (int i = 0; i < 200; ++i) {
             const std::string key =
                 "rk:" + std::to_string(rng.next_below(400));
-            switch (rng.next_below(4)) {
+            switch (rng.next_below(3)) {
             case 0:
                 src.set(key, Object::make_string(rand_str()));
                 break;
@@ -159,15 +155,6 @@ TEST(Rdb, RandomizedRoundTripSeeded) {
                     lst->list().push_back(Sds(rand_str()));
                 }
                 src.set(key, lst);
-                break;
-            }
-            case 2: {
-                auto h = Object::make_hash();
-                const std::size_t n = 1 + rng.next_below(5);
-                for (std::size_t j = 0; j < n; ++j) {
-                    h->hash().set(Sds(rand_str()), Sds(rand_str()));
-                }
-                src.set(key, h);
                 break;
             }
             default:
@@ -212,8 +199,8 @@ TEST(Rdb, StringListAndExpireRecordBytes) {
 }
 
 TEST(Rdb, RemovedTypeOpcodesLoadAsCorrupt) {
-    // Opcodes 2 and 4 carried sets and sorted sets.
-    for (const char op : {'\x02', '\x04'}) {
+    // Opcodes 2, 3 and 4 carried sets, hashes and sorted sets.
+    for (const char op : {'\x02', '\x03', '\x04'}) {
         const std::string body = std::string("SKVRDB01") + op +
                                  std::string("\x01" "k" "\x00", 3) + "\xFF";
         Database dst = make_db();

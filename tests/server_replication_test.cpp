@@ -53,7 +53,7 @@ TEST_F(BaselineReplTest, WritesReachEverySlave) {
     run_commands(*c, {{"SET", "k1", "v1"},
                       {"SET", "k2", "v2"},
                       {"LPUSH", "l", "a", "b"},
-                      {"HSET", "h", "f", "x"}});
+                      {"GETDEL", "k2"}}); // replicated as DEL
     EXPECT_TRUE(c->converged());
     for (int i = 0; i < 3; ++i) {
         EXPECT_TRUE(c->master().db().equals(c->slave(i).db())) << i;
@@ -192,8 +192,8 @@ TEST_P(ReplConvergenceTest, RandomStreamConverges) {
                            "0.1"}; break;
             // Seconds 0 is in the past: replicated as DEL, else PEXPIREAT.
             case 6: cmd = {"EXPIRE", key(), std::to_string(rng.next_below(100))}; break;
-            case 7: cmd = {"HSET", "h", "f" + std::to_string(rng.next_below(5)),
-                           std::to_string(i)}; break;
+            // Replicated as DEL when the key exists.
+            case 7: cmd = {"GETDEL", key()}; break;
             case 8: cmd = {"LPOP", "l" + std::to_string(rng.next_below(3))}; break;
             case 9: cmd = {"APPEND", key(), "x"}; break;
         }

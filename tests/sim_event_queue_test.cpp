@@ -106,15 +106,6 @@ TEST(Simulation, StepExecutesOne) {
     EXPECT_FALSE(sim.step());
 }
 
-TEST(Simulation, CancelPendingEvent) {
-    Simulation sim(1);
-    bool ran = false;
-    const EventId id = sim.after(microseconds(1), [&] { ran = true; });
-    EXPECT_TRUE(sim.cancel(id));
-    sim.run();
-    EXPECT_FALSE(ran);
-}
-
 TEST(Simulation, EventsExecutedCounter) {
     Simulation sim(1);
     for (int i = 0; i < 7; ++i) sim.after(microseconds(i + 1), [] {});
