@@ -43,7 +43,6 @@ std::string bulk(std::string_view s) {
 }
 
 std::string null_bulk() { return "$-1\r\n"; }
-std::string null_array() { return "*-1\r\n"; }
 
 std::string array_header(std::size_t n) {
     std::string out = "*";

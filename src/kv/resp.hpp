@@ -15,7 +15,6 @@ std::string error(std::string_view s);   // -s\r\n
 std::string integer(long long v);        // :v\r\n
 std::string bulk(std::string_view s);    // $n\r\n s \r\n
 std::string null_bulk();                 // $-1\r\n
-std::string null_array();                // *-1\r\n
 std::string array_header(std::size_t n); // *n\r\n
 
 /// Encode a command as an array of bulk strings (what clients send).
@@ -56,7 +55,6 @@ public:
     /// Try to parse the next complete command into `argv`.
     Status next(std::vector<std::string>* argv, std::string* errmsg = nullptr);
 
-    [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
     void reset();
 
 private:
@@ -77,7 +75,6 @@ class ReplyParser {
 public:
     void feed(std::string_view data) { buf_.append(data); }
     Status next(Value* out, std::string* errmsg = nullptr);
-    [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
     void reset();
 
 private:

@@ -64,12 +64,6 @@ void Sds::tolower() {
     }
 }
 
-void Sds::toupper() {
-    for (std::size_t i = 0; i < len_; ++i) {
-        buf_[i] = static_cast<char>(std::toupper(static_cast<unsigned char>(buf_[i])));
-    }
-}
-
 int Sds::compare(const Sds& o) const {
     const std::size_t minlen = std::min(len_, o.len_);
     const int c = minlen ? std::memcmp(buf_.data(), o.buf_.data(), minlen) : 0;

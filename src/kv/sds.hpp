@@ -30,7 +30,6 @@ public:
     [[nodiscard]] std::size_t size() const { return len_; }
     [[nodiscard]] bool empty() const { return len_ == 0; }
     [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
-    [[nodiscard]] std::size_t avail() const { return buf_.size() - len_; }
 
     [[nodiscard]] const char* data() const { return buf_.data(); }
     [[nodiscard]] std::string_view view() const { return {buf_.data(), len_}; }
@@ -55,7 +54,6 @@ public:
     void trim(std::string_view cset);
 
     void tolower();
-    void toupper();
 
     [[nodiscard]] int compare(const Sds& o) const;
     bool operator==(const Sds& o) const { return view() == o.view(); }

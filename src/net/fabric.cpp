@@ -6,13 +6,7 @@
 
 namespace skv::net {
 
-Fabric::Fabric(sim::Simulation& sim)
-    : sim_(sim),
-      c_sends_(obs_.counter_handle("sends")),
-      c_bytes_(obs_.counter_handle("bytes")),
-      c_delivers_(obs_.counter_handle("delivers")),
-      c_drops_in_flight_(obs_.counter_handle("drops_in_flight")),
-      c_fault_drops_(obs_.counter_handle("fault_drops")) {}
+Fabric::Fabric(sim::Simulation& sim) : sim_(sim) {}
 
 std::uint32_t Fabric::fabric_track(EndpointId ep) {
     Endpoint& e = endpoints_[ep];
@@ -152,13 +146,11 @@ void Fabric::schedule_delivery(EndpointId from, EndpointId to, sim::SimTime when
         if (src.severed || dst.severed || src.sever_epoch != from_epoch ||
             dst.sever_epoch != to_epoch) {
             ++dropped_in_flight_;
-            c_drops_in_flight_.incr();
             sim_.trace().note(sim::TraceEvent::kFabricDropInFlight, sim_.now(),
                               from, to);
             return;
         }
         sim_.trace().note(sim::TraceEvent::kFabricDeliver, sim_.now(), from, to);
-        c_delivers_.incr();
         if (traced && tracer_ != nullptr) {
             tracer_->complete(track, obs::Stage::kFabricTransfer, sent_at,
                               sim_.now());
@@ -174,8 +166,6 @@ sim::SimTime Fabric::send(EndpointId from, EndpointId to, std::size_t bytes,
 
     ++messages_;
     bytes_ += bytes;
-    c_sends_.incr();
-    c_bytes_.incr(bytes);
     // Determinism audit: every send folds (kind, time, route) into the
     // trace digest, so two runs of the same seed can be compared hop by hop.
     sim_.trace().note(sim::TraceEvent::kFabricSend, sim_.now(), from, to);

@@ -174,11 +174,7 @@ private:
     std::uint64_t dropped_in_flight_ = 0;
     std::unique_ptr<FaultInjector> faults_;
     obs::Registry obs_;
-    obs::Counter c_sends_;
-    obs::Counter c_bytes_;
-    obs::Counter c_delivers_;
-    obs::Counter c_drops_in_flight_;
-    obs::Counter c_fault_drops_;
+    obs::Counter c_fault_drops_ = obs_.counter_handle("fault_drops");
     obs::Tracer* tracer_ = nullptr;
 };
 

@@ -38,7 +38,7 @@ void FaultInjector::apply(const FaultSpec& spec, sim::SimTime now, Decision* d) 
     d->touched = true;
     if (spec.blocked) {
         d->deliver = false;
-        stats_.incr("partition_drops");
+        c_partition_drops_.incr();
         return;
     }
     if (spec.flap_period.ns() > 0 && spec.flap_down.ns() > 0) {
@@ -47,20 +47,20 @@ void FaultInjector::apply(const FaultSpec& spec, sim::SimTime now, Decision* d) 
         if (in_period < 0) in_period += spec.flap_period.ns();
         if (in_period < spec.flap_down.ns()) {
             d->deliver = false;
-            stats_.incr("flap_drops");
+            c_flap_drops_.incr();
             return;
         }
     }
     if (spec.drop_prob > 0 && rng_.next_bool(spec.drop_prob)) {
         d->deliver = false;
-        stats_.incr("drops");
+        c_drops_.incr();
         return;
     }
     if (spec.jitter_prob > 0 && spec.jitter_mean.ns() > 0 &&
         rng_.next_bool(spec.jitter_prob)) {
         d->delay += sim::Duration(static_cast<std::int64_t>(
             rng_.next_exponential(static_cast<double>(spec.jitter_mean.ns()))));
-        stats_.incr("delays");
+        c_delays_.incr();
     }
     if (spec.dup_prob > 0 && rng_.next_bool(spec.dup_prob)) {
         d->duplicate = true;
@@ -71,7 +71,7 @@ void FaultInjector::apply(const FaultSpec& spec, sim::SimTime now, Decision* d) 
                                 : 1'000.0;
         d->dup_delay += sim::Duration(
             static_cast<std::int64_t>(rng_.next_exponential(mean)) + 1);
-        stats_.incr("dups");
+        c_dups_.incr();
     }
 }
 

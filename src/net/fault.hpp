@@ -87,6 +87,11 @@ private:
     std::map<std::pair<EndpointId, EndpointId>, sim::SimTime> last_arrival_;
     sim::Rng rng_;
     obs::Registry stats_;
+    obs::Counter c_partition_drops_ = stats_.counter_handle("partition_drops");
+    obs::Counter c_flap_drops_ = stats_.counter_handle("flap_drops");
+    obs::Counter c_drops_ = stats_.counter_handle("drops");
+    obs::Counter c_delays_ = stats_.counter_handle("delays");
+    obs::Counter c_dups_ = stats_.counter_handle("dups");
 };
 
 } // namespace skv::net

@@ -7,10 +7,7 @@ namespace skv::nic {
 SmartNic::SmartNic(sim::Simulation& sim, net::Fabric& fabric,
                    net::EndpointId host, const std::string& name,
                    SmartNicParams params)
-    : host_(host), name_(name), params_(params),
-      c_mem_rejects_(obs_.counter_handle("mem_reserve_rejects")),
-      g_mem_used_(obs_.gauge_handle("mem_used_bytes")),
-      g_steering_rules_(obs_.gauge_handle("steering_rules")) {
+    : host_(host), name_(name), params_(params) {
     SKV_CHECK(params_.arm_cores > 0);
     endpoint_ = fabric.add_companion(host, name, params_.companion);
     cores_.reserve(static_cast<std::size_t>(params_.arm_cores));
@@ -26,14 +23,12 @@ bool SmartNic::reserve_memory(std::size_t bytes) {
         return false;
     }
     mem_used_ += bytes;
-    g_mem_used_.set(static_cast<std::int64_t>(mem_used_));
     return true;
 }
 
 void SmartNic::release_memory(std::size_t bytes) {
     SKV_CHECK(bytes <= mem_used_);
     mem_used_ -= bytes;
-    g_mem_used_.set(static_cast<std::int64_t>(mem_used_));
 }
 
 void SmartNic::steer(std::uint16_t service_port, SteerTarget target) {
@@ -42,7 +37,6 @@ void SmartNic::steer(std::uint16_t service_port, SteerTarget target) {
     } else {
         steering_[service_port] = target;
     }
-    g_steering_rules_.set(static_cast<std::int64_t>(steering_.size()));
 }
 
 SteerTarget SmartNic::steering(std::uint16_t service_port) const {

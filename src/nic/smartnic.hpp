@@ -87,9 +87,7 @@ private:
     std::map<std::uint16_t, SteerTarget> steering_;
 
     obs::Registry obs_;
-    obs::Counter c_mem_rejects_;
-    obs::Gauge g_mem_used_;
-    obs::Gauge g_steering_rules_;
+    obs::Counter c_mem_rejects_ = obs_.counter_handle("mem_reserve_rejects");
 };
 
 } // namespace skv::nic

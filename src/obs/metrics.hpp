@@ -15,8 +15,8 @@ class Registry;
 /// Pre-resolved counter handle: incrementing is one pointer dereference and
 /// an add, no string lookup. Handles stay valid for the life of the owning
 /// Registry (cells live in a deque and never move). A default-constructed
-/// handle is inert: incr() on it is a no-op, so components can be
-/// instrumented unconditionally and wired to a registry lazily.
+/// handle is inert: incr() on it is a no-op (a ReliableChannel wrapped
+/// without a registry counts nothing).
 class Counter {
 public:
     Counter() = default;
@@ -32,27 +32,6 @@ private:
     friend class Registry;
     explicit Counter(std::uint64_t* cell) : cell_(cell) {}
     std::uint64_t* cell_ = nullptr;
-};
-
-/// Pre-resolved gauge handle (signed, last-write-wins).
-class Gauge {
-public:
-    Gauge() = default;
-    void set(std::int64_t v) const {
-        if (cell_ != nullptr) *cell_ = v;
-    }
-    void add(std::int64_t delta) const {
-        if (cell_ != nullptr) *cell_ += delta;
-    }
-    [[nodiscard]] std::int64_t value() const {
-        return cell_ != nullptr ? *cell_ : 0;
-    }
-    [[nodiscard]] explicit operator bool() const { return cell_ != nullptr; }
-
-private:
-    friend class Registry;
-    explicit Gauge(std::int64_t* cell) : cell_(cell) {}
-    std::int64_t* cell_ = nullptr;
 };
 
 /// Pre-resolved latency-histogram handle. record() feeds the log-linear
@@ -87,21 +66,17 @@ struct Snapshot {
     };
 
     std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, std::int64_t> gauges;
     std::map<std::string, TimerStats> timers;
 };
 
-/// Per-node metric registry. Two faces:
-///
-///  - Typed handles (counter_handle/gauge_handle/timer_handle), resolved
-///    once at wiring time so hot paths pay an array index, not a
-///    std::map<std::string,...> lookup per event.
-///  - A string API (incr/set_gauge/counter/gauge/format/clear) for cold
-///    paths, tests and golden-output fingerprints. Both faces address the
-///    same cells.
+/// Per-node metric registry: a name -> cell table. Cells are written only
+/// through handles resolved once, when their owner is constructed
+/// (counter_handle/timer_handle), so the per-message path pays a pointer
+/// dereference, never a string lookup. Reads go by name (counter, format,
+/// snapshot) and never create cells.
 ///
 /// Iteration anywhere in this class is over std::map — deterministic by
-/// construction, which the byte-identical export guarantee relies on.
+/// construction, which the byte-identical fingerprints rely on.
 class Registry {
 public:
     Registry() = default;
@@ -109,32 +84,23 @@ public:
     Registry(const Registry&) = delete;
     Registry& operator=(const Registry&) = delete;
 
-    // --- typed pre-resolved handles (resolve once, use on the hot path) ---
+    /// Register `name` (or find it) and return its write handle.
     Counter counter_handle(const std::string& name);
-    Gauge gauge_handle(const std::string& name);
     Timer timer_handle(const std::string& name);
 
-    // --- string API ---
-    void incr(const std::string& name, std::uint64_t delta = 1);
-    void set_gauge(const std::string& name, std::int64_t value);
     [[nodiscard]] std::uint64_t counter(const std::string& name) const;
-    [[nodiscard]] std::int64_t gauge(const std::string& name) const;
-    /// "name=value\n" lines: counters first, then gauges, each sorted by
-    /// name. Timers are deliberately excluded: the chaos determinism
-    /// fingerprint folds this string in, so its layout is frozen.
+    /// "name=value\n" for every registered counter, zeros included, sorted
+    /// by name. Timers are excluded: the chaos determinism fingerprints fold
+    /// this string in.
     [[nodiscard]] std::string format() const;
-    /// Zero every cell. Handles remain valid.
-    void clear();
 
     [[nodiscard]] Snapshot snapshot() const;
 
 private:
     // Cells live in deques so handle pointers survive growth.
     std::deque<std::uint64_t> counter_cells_;
-    std::deque<std::int64_t> gauge_cells_;
     std::deque<sim::LatencyHistogram> timer_cells_;
     std::map<std::string, std::size_t> counter_index_;
-    std::map<std::string, std::size_t> gauge_index_;
     std::map<std::string, std::size_t> timer_index_;
 };
 

@@ -87,14 +87,10 @@ std::vector<Completion> CompletionQueue::poll(std::size_t max) {
 
 RdmaNetwork::RdmaNetwork(sim::Simulation& sim, net::Fabric& fabric,
                          const cpu::CostModel& costs)
-    : sim_(sim), fabric_(fabric), costs_(costs), rng_(sim.fork_rng()),
-      c_wr_posts_(obs_.counter_handle("wr_posts")),
-      c_write_imm_(obs_.counter_handle("write_with_imm")),
-      c_mr_regs_(obs_.counter_handle("mr_registrations")) {}
+    : sim_(sim), fabric_(fabric), costs_(costs), rng_(sim.fork_rng()) {}
 
 MemoryRegionPtr RdmaNetwork::register_mr(net::NodeRef node, std::size_t size) {
     auto mr = std::make_shared<MemoryRegion>(next_rkey_++, size);
-    c_mr_regs_.incr();
     mrs_[mr->rkey()] = mr;
     if (node.core) node.core->consume(costs_.mr_register);
     return mr;
@@ -158,8 +154,11 @@ void QueuePair::post_send(SendWr wr) {
     if (!peer) {
         self_.core->consume(net_.wr_post_cost(self_.ep));
         if (wr.signaled) {
-            send_cq_->push(Completion{wr.wr_id, wr.op, /*success=*/false,
-                                      false, 0, 0, {}});
+            Completion c;
+            c.wr_id = wr.wr_id;
+            c.op = wr.op;
+            c.success = false;
+            send_cq_->push(std::move(c));
         }
         return;
     }

@@ -300,9 +300,8 @@ private:
     std::uint64_t writes_unknown_mr_ = 0;
     std::map<std::uint32_t, std::weak_ptr<MemoryRegion>> mrs_;
     obs::Registry obs_;
-    obs::Counter c_wr_posts_;
-    obs::Counter c_write_imm_;
-    obs::Counter c_mr_regs_;
+    obs::Counter c_wr_posts_ = obs_.counter_handle("wr_posts");
+    obs::Counter c_write_imm_ = obs_.counter_handle("write_with_imm");
     obs::Tracer* tracer_ = nullptr;
 };
 

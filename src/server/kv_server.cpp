@@ -41,15 +41,7 @@ KvServer::KvServer(sim::Simulation& sim, const cpu::CostModel& costs,
       rng_(sim.fork_rng()),
       db_([&sim]() { return sim.now().ns() / 1'000'000; }),
       backlog_(cfg_.backlog_bytes),
-      commands_table_(kv::CommandTable::instance()),
-      c_reads_(stats_.counter_handle("reads")),
-      c_writes_(stats_.counter_handle("writes")),
-      c_repl_offload_(stats_.counter_handle("repl_offload_requests")),
-      c_repl_sends_(stats_.counter_handle("repl_sends")),
-      c_repl_applied_(stats_.counter_handle("repl_applied")),
-      t_cmd_all_(stats_.timer_handle("cmd.service")),
-      t_cmd_write_(stats_.timer_handle("cmd.service.write")),
-      t_cmd_read_(stats_.timer_handle("cmd.service.read")) {
+      commands_table_(kv::CommandTable::instance()) {
     SKV_CHECK(self_.valid());
     SKV_CHECK(nets_.fabric != nullptr);
     SKV_DCHECK(cfg_.transport == Transport::kTcp ? nets_.tcp != nullptr
@@ -79,7 +71,6 @@ void KvServer::listen_all() {
     listen(static_cast<std::uint16_t>(cfg_.port + 1), [this](net::ChannelPtr ch) {
         if (!ch) return;
         adopt_node_link(std::move(ch));
-        stats_.incr("node_links_accepted");
     });
 }
 
@@ -94,7 +85,6 @@ void KvServer::on_client_accept(net::ChannelPtr ch) {
     auto conn = std::make_shared<ClientConn>();
     conn->channel = std::move(ch);
     clients_.push_back(conn);
-    stats_.incr("clients_accepted");
     // Weak capture: the handler lives inside conn->channel, which conn
     // owns — an owning capture would cycle and the connection could never
     // be reclaimed.
@@ -119,7 +109,7 @@ net::ChannelPtr KvServer::adopt_node_link(net::ChannelPtr inner) {
         if (!conn || crashed_) return;
         const auto msg = NodeMsg::decode(payload);
         if (!msg.has_value()) {
-            stats_.incr("node_msgs_malformed");
+            c_node_msgs_malformed_.incr();
             return;
         }
         handle_node_msg(conn, *msg);
@@ -158,7 +148,7 @@ void KvServer::dial_node(net::EndpointId ep, std::uint16_t port,
                                redial = std::move(redial)]() {
         if (crashed_ || *attempt != mine) return;
         if (*link && (*link)->open()) return;
-        if (redial()) stats_.incr("connect_retries");
+        redial();
     });
 }
 
@@ -179,7 +169,6 @@ void KvServer::release_conn(const net::Channel* raw) {
 }
 
 void KvServer::on_node_link_broken(const net::Channel* raw) {
-    stats_.incr("node_links_broken");
     if (crashed_) return;
     // A master's link to a baseline slave: drop the registration entirely
     // (close tears the object graph down); the slave's next kSync
@@ -236,7 +225,7 @@ void KvServer::on_client_data(const ClientPtr& conn, std::string payload) {
         if (st == kv::resp::Status::kError) {
             conn->channel->send(kv::resp::error("ERR " + err));
             conn->channel->close();
-            stats_.incr("protocol_errors");
+            c_protocol_errors_.incr();
             return;
         }
         run_command(conn, std::move(argv));
@@ -257,15 +246,14 @@ sim::Duration KvServer::command_cost(const std::vector<std::string>& argv,
     return cost;
 }
 
-bool KvServer::write_allowed(std::string* err, const char** reason) const {
+bool KvServer::write_allowed(std::string* err) {
     if (role_ == Role::kSlave) {
         *err = "READONLY You can't write against a read only replica.";
-        *reason = "writes_rejected_readonly";
         return false;
     }
     if (role_ == Role::kMaster && available_slaves_ < cfg_.min_slaves) {
         *err = "NOREPLICAS Not enough good replicas to write.";
-        *reason = "writes_rejected_min_slaves";
+        c_writes_rejected_min_slaves_.incr();
         return false;
     }
     if (role_ == Role::kMaster && cfg_.max_repl_lag_bytes > 0) {
@@ -276,7 +264,6 @@ bool KvServer::write_allowed(std::string* err, const char** reason) const {
             if (backlog_.master_offset() - s.ack_offset > cfg_.max_repl_lag_bytes) {
                 *err = "NOREPLPROGRESS Replication to '" + s.name +
                        "' is lagging too far behind.";
-                *reason = "writes_rejected_lag";
                 return false;
             }
         }
@@ -342,7 +329,7 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
                 // cached reply or, if the original is still parked on
                 // replica acks, adopt this connection as the waiter.
                 it->second.last_used = ++dup_use_tick_;
-                stats_.incr("dup_suppressed");
+                c_dup_suppressed_.incr();
                 record_command_latency(argv, /*is_write=*/true, t0);
                 if (it->second.ready) {
                     if (traced) tracer_->flow_server_done(conn->channel->flow_id());
@@ -353,7 +340,6 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
                 return;
             }
             if (it != dup_table_.end() && it->second.seq > tag.seq) {
-                stats_.incr("dup_stale_seq");
                 if (traced) tracer_->flow_server_done(conn->channel->flow_id());
                 conn->channel->send(
                     kv::resp::error("DUPSEQ write sequence already superseded"));
@@ -362,7 +348,6 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
         }
         if (spec != nullptr && !spec->is_write() && role_ == Role::kSlave &&
             !cfg_.serve_stale_reads && !repl_->serve_replica_read()) {
-            stats_.incr("reads_rejected_stale");
             record_command_latency(argv, /*is_write=*/false, t0);
             if (traced) tracer_->flow_server_done(conn->channel->flow_id());
             conn->channel->send(
@@ -371,10 +356,7 @@ void KvServer::run_command(const ClientPtr& conn, std::vector<std::string> argv)
         }
         if (spec != nullptr && spec->is_write()) {
             std::string err;
-            const char* reason = "writes_rejected_other";
-            if (!write_allowed(&err, &reason)) {
-                stats_.incr("writes_rejected");
-                stats_.incr(reason);
+            if (!write_allowed(&err)) {
                 record_command_latency(argv, /*is_write=*/true, t0);
                 if (traced) tracer_->flow_server_done(conn->channel->flow_id());
                 conn->channel->send(kv::resp::error(err));
@@ -412,6 +394,8 @@ std::unique_ptr<Replication> make_replication(KvServer& server,
     }
     return std::make_unique<Replication>(server);
 }
+
+obs::Registry& Replication::stats() const { return s_.stats_; }
 
 bool Replication::gating() const {
     return s_.cfg_.wait_for_slaves > 0 && s_.role_ == Role::kMaster;
@@ -461,7 +445,7 @@ void KvServer::dup_record(const WriteTag& tag, std::string reply, bool ready,
         }
         const std::uint64_t evicted = victim->first;
         dup_table_.erase(victim);
-        stats_.incr("dup_evictions");
+        c_dup_evictions_.incr();
         propagate({"WSEQEVICT", std::to_string(evicted)});
     }
 }
@@ -481,7 +465,7 @@ void KvServer::deliver_or_park(const ClientPtr& conn, std::string reply,
     const std::uint64_t id = next_parked_id_++;
     parked_.emplace(id, Parked{conn, std::move(reply), offset, is_write, tagged,
                                tag, traced});
-    stats_.incr(is_write ? "writes_parked" : "reads_parked");
+    if (is_write) c_writes_parked_.incr();
     sim_.after(cfg_.wait_timeout, [this, id]() { on_wait_timeout(id); });
     if (!is_write) repl_->on_read_parked(offset);
 }
@@ -511,7 +495,6 @@ void KvServer::on_wait_timeout(std::uint64_t id) {
     if (it == parked_.end()) return; // already flushed
     Parked p = std::move(it->second);
     parked_.erase(it);
-    stats_.incr("wait_timeouts");
     // The command DID execute locally; only replication progress is
     // unknown. The client must treat this as maybe-applied and retry with
     // the same token (the dup entry stays, still not ready).
@@ -544,8 +527,7 @@ void KvServer::attach_dup_waiter(const WriteTag& tag, const ClientPtr& conn,
 void KvServer::record_command_latency(const std::vector<std::string>& argv,
                                       bool is_write, sim::SimTime t0) {
     const sim::Duration dur = sim_.now() - t0;
-    t_cmd_all_.record(dur);
-    (is_write ? t_cmd_write_ : t_cmd_read_).record(dur);
+    t_cmd_service_.record(dur);
     if (cfg_.slowlog_threshold.ns() >= 0 &&
         dur.ns() >= cfg_.slowlog_threshold.ns()) {
         SlowlogEntry e;
@@ -718,7 +700,6 @@ void KvServer::serve_initial_sync(const std::string& slave_name,
         // the greeting that tells the slave which channel its master is on.
         direct->send(
             NodeMsg{NodeMsg::Type::kBacklog, slave_offset, ""}.encode());
-        stats_.incr("sync_noop");
         return;
     }
     serve_sync(*direct, slave_offset);
@@ -731,7 +712,6 @@ void KvServer::serve_sync(net::Channel& ch, std::int64_t from) {
         const std::string range = backlog_.read_from(from);
         self_.core->consume(costs_.copy_cost(range.size()));
         ch.send(NodeMsg{NodeMsg::Type::kBacklog, from, range}.encode());
-        stats_.incr("sync_partial");
         return;
     }
     // Full synchronization: persist everything and ship the RDB file.
@@ -740,7 +720,7 @@ void KvServer::serve_sync(net::Channel& ch, std::int64_t from) {
     self_.core->consume(sim::microseconds(400) + costs_.copy_cost(2 * rdb.size()));
     ch.send(
         NodeMsg{NodeMsg::Type::kFullSync, backlog_.master_offset(), rdb}.encode());
-    stats_.incr("sync_full");
+    c_sync_full_.incr();
 }
 
 void KvServer::connect_and_sync_slave(const std::string& slave_name,
@@ -807,7 +787,6 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
             for (auto& s : slaves_) {
                 s.valid = msg.body.find(s.name) == std::string::npos;
             }
-            stats_.incr("fd_updates");
             // The commit quorum shrinks with the valid set; parked replies
             // may be releasable (or permanently below need) now.
             flush_parked();
@@ -827,7 +806,6 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
             // direct channel the master dialed in Fig. 8 step 3).
             if (role_ == Role::kSlave) master_link_ = conn->channel;
             apply_repl_stream(msg.field, msg.body);
-            stats_.incr("resyncs_applied");
             break;
         }
         case NodeMsg::Type::kFullSync: {
@@ -837,7 +815,6 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
         }
         case NodeMsg::Type::kProbe: {
             // Reply immediately (paper §III-D).
-            stats_.incr("probes_answered");
             last_probe_ns_ = sim_.now().ns();
             self_.core->consume(costs_.event_dispatch);
             const std::string body =
@@ -849,7 +826,6 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
         case NodeMsg::Type::kPromote: {
             if (role_ == Role::kSlave) {
                 role_ = Role::kMaster;
-                stats_.incr("promotions");
                 // A stand-in master serves writes solo: it leaves any
                 // protocol role it held as a replica (a chain member must
                 // neither relay frames nor serve leased tail reads).
@@ -860,7 +836,6 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
         case NodeMsg::Type::kDemote: {
             if (role_ == Role::kMaster) {
                 role_ = Role::kSlave;
-                stats_.incr("demotions");
                 // A demoted master never feeds its old fan-out targets
                 // again — the promoted master dials the slaves itself.
                 // Releasing the links here is what lets the per-slave
@@ -885,7 +860,7 @@ void KvServer::handle_node_msg(const ClientPtr& conn, const NodeMsg& msg) {
         case NodeMsg::Type::kQuorumAck:
         case NodeMsg::Type::kReadRepair:
             // Nic-KV traffic; a Host-KV server never receives these.
-            stats_.incr("node_msgs_unexpected");
+            c_node_msgs_unexpected_.incr();
             break;
     }
 }
@@ -900,12 +875,9 @@ void KvServer::apply_repl_stream(std::int64_t start_offset,
         // resync snapshot is still in flight while fan-out continues. Hold
         // the frame; the snapshot/backlog will catch applied_offset_ up,
         // after which these frames drain in order.
-        stats_.incr("repl_gap_frames");
         if (pending_stream_bytes_ + bytes.size() <= kPendingStreamCap) {
             pending_stream_bytes_ += bytes.size();
             pending_stream_.emplace_back(start_offset, bytes);
-        } else {
-            stats_.incr("repl_gap_dropped");
         }
         return;
     }
@@ -943,7 +915,6 @@ void KvServer::apply_contiguous(std::int64_t start_offset,
         const auto st = repl_parser_.next(&argv, &err);
         if (st == kv::resp::Status::kNeedMore) break;
         if (st == kv::resp::Status::kError) {
-            stats_.incr("repl_protocol_errors");
             repl_parser_.reset();
             return;
         }
@@ -968,37 +939,28 @@ void KvServer::apply_one(std::vector<std::string> argv) {
                     id.has_value() && *id >= 0) {
                     dup_table_.erase(static_cast<std::uint64_t>(*id));
                 }
-                stats_.incr("dup_evictions_applied");
-                c_repl_applied_.incr();
+                c_dup_evictions_applied_.incr();
                 return;
             }
             WriteTag tag{};
             std::string cached;
             if (strip_replicated_tag(argv, &tag, &cached)) {
                 const auto it = dup_table_.find(tag.client);
-                if (it != dup_table_.end() && it->second.seq >= tag.seq) {
-                    stats_.incr("dup_stream_skipped");
-                    return;
-                }
+                if (it != dup_table_.end() && it->second.seq >= tag.seq) return;
                 dup_record(tag, std::move(cached), /*ready=*/true,
                            applied_offset_);
             }
             std::string reply;
             commands_table_.execute(db_, rng_, argv, reply);
-            c_repl_applied_.incr();
         });
 }
 
 void KvServer::load_snapshot(std::int64_t offset, const std::string& rdb_bytes) {
     const auto st = kv::rdb::load(rdb_bytes, db_);
-    if (st != kv::rdb::LoadStatus::kOk) {
-        stats_.incr("rdb_load_failures");
-        return;
-    }
+    if (st != kv::rdb::LoadStatus::kOk) return;
     self_.core->consume(costs_.copy_cost(2 * rdb_bytes.size()));
     applied_offset_ = offset;
     repl_parser_.reset();
-    stats_.incr("rdb_loaded");
     drain_pending_stream();
     if (cfg_.ack_on_apply && role_ == Role::kSlave) send_ack();
 }
@@ -1030,7 +992,6 @@ void KvServer::slaveof_baseline(net::EndpointId master_ep,
         },
         [this]() {
             slaveof_baseline(baseline_master_ep_, baseline_master_port_);
-            return true;
         });
 }
 
@@ -1057,7 +1018,6 @@ void KvServer::slaveof_skv(net::EndpointId nic_ep, std::uint16_t nic_port) {
         },
         [this]() {
             slaveof_skv(skv_nic_ep_, skv_nic_port_);
-            return true;
         });
 }
 
@@ -1082,7 +1042,6 @@ void KvServer::attach_nic(net::EndpointId nic_ep, std::uint16_t nic_port) {
         },
         [this]() {
             attach_nic(skv_nic_ep_, skv_nic_port_);
-            return true;
         });
 }
 
@@ -1096,7 +1055,7 @@ void KvServer::cron() {
             db_.active_expire_cycle(rng_, kExpireSamples);
         if (removed > 0) {
             self_.core->consume(costs_.cmd_exec_write * static_cast<std::int64_t>(removed));
-            stats_.incr("expired_keys", removed);
+            c_expired_keys_.incr(removed);
         }
         db_.keys().rehash_step(4);
 
@@ -1135,12 +1094,12 @@ void KvServer::cron() {
                         nic_registration_ && nic_registration_->open() &&
                         now - last_probe_ns_ > silence;
                     if (probe_silent || !master_link_) {
-                        stats_.incr("reregistrations");
+                        c_reregistrations_.incr();
                         slaveof_skv(skv_nic_ep_, skv_nic_port_);
                     }
                 } else if (cfg_.offload_replication && nic_attached_ &&
                            now - last_probe_ns_ > silence) {
-                    stats_.incr("reregistrations");
+                    c_reregistrations_.incr();
                     last_reregister_ns_ = now;
                     attach_nic(skv_nic_ep_, skv_nic_port_);
                 }
@@ -1177,7 +1136,7 @@ void KvServer::crash() {
     // find nothing and no-op. The dup table survives for a *warm* restart
     // (same process memory); a cold recover() wipes it.
     parked_.clear();
-    stats_.incr("crashes");
+    c_crashes_.incr();
 }
 
 void KvServer::recover(RecoveryMode mode) {
@@ -1185,12 +1144,12 @@ void KvServer::recover(RecoveryMode mode) {
     crashed_ = false;
     self_.core->resume();
     nets_.fabric->restore(self_.ep);
-    stats_.incr("recoveries");
+    c_recoveries_.incr();
     if (mode == RecoveryMode::kCold) {
         // Machine restart: process memory is gone. Reload the last
         // persisted snapshot (possibly none) and resume the stream at its
         // offset — NOT at the pre-crash offset, which only existed in RAM.
-        stats_.incr("cold_recoveries");
+        c_cold_recoveries_.incr();
         db_.clear();
         dup_table_.clear();
         repl_parser_.reset();
@@ -1232,7 +1191,7 @@ void KvServer::persist_snapshot() {
     // full-sync path.
     self_.core->consume(sim::microseconds(400) +
                         costs_.copy_cost(2 * persisted_rdb_.size()));
-    stats_.incr("snapshots_persisted");
+    c_snapshots_persisted_.incr();
 }
 
 std::string KvServer::info_sections() const {
@@ -1261,11 +1220,11 @@ std::string KvServer::info_sections() const {
            ",expires=" + kv::ll2string(static_cast<long long>(db_.expires_size())) + "\r\n";
     out += "# Stats\r\n";
     out += "total_commands_processed:" + kv::ll2string(static_cast<long long>(commands_)) + "\r\n";
-    out += "total_reads:" + kv::ll2string(static_cast<long long>(stats_.counter("reads"))) + "\r\n";
-    out += "total_writes:" + kv::ll2string(static_cast<long long>(stats_.counter("writes"))) + "\r\n";
+    out += "total_reads:" + kv::ll2string(static_cast<long long>(c_reads_.value())) + "\r\n";
+    out += "total_writes:" + kv::ll2string(static_cast<long long>(c_writes_.value())) + "\r\n";
     out += "slowlog_len:" + kv::ll2string(static_cast<long long>(slowlog_.size())) + "\r\n";
     out += "# Latencystats\r\n";
-    if (const auto* h = t_cmd_all_.histogram(); h != nullptr && h->count() > 0) {
+    if (const auto* h = t_cmd_service_.histogram(); h != nullptr && h->count() > 0) {
         out += "cmd_service_count:" + kv::ll2string(static_cast<long long>(h->count())) + "\r\n";
         out += "cmd_service_p50_usec:" + kv::ll2string(h->p50_ns() / 1'000) + "\r\n";
         out += "cmd_service_p99_usec:" + kv::ll2string(h->p99_ns() / 1'000) + "\r\n";

@@ -161,8 +161,9 @@ private:
 
     /// Runs once a dialed node link is adopted.
     using NodeLinkUp = std::function<void(const net::ChannelPtr& link)>;
-    /// Starts a lost dial over; false when the link is no longer wanted.
-    using NodeRedial = std::function<bool()>;
+    /// Starts a lost dial over (or lets it go when the link is no longer
+    /// wanted).
+    using NodeRedial = std::function<void()>;
 
     void listen_all();
     void on_client_accept(net::ChannelPtr ch);
@@ -193,8 +194,8 @@ private:
     void run_command(const ClientPtr& conn, std::vector<std::string> argv);
     [[nodiscard]] sim::Duration command_cost(
         const std::vector<std::string>& argv, const kv::CommandSpec* spec) const;
-    /// `reason` receives a stats-counter key naming why the write was gated.
-    [[nodiscard]] bool write_allowed(std::string* err, const char** reason) const;
+    /// Whether a write may run here; `err` receives the refusal.
+    [[nodiscard]] bool write_allowed(std::string* err);
 
     // -- commit gating / duplicate suppression
     /// Deliver `reply` now, or — when commit gating is on and `offset` is
@@ -332,16 +333,29 @@ private:
     std::uint64_t commands_ = 0;
     std::int64_t cron_ticks_ = 0;
     obs::Registry stats_;
-    // Hot-path counters/timers pre-resolved against stats_ in the
-    // constructor (same cells the string API addresses).
-    obs::Counter c_reads_;
-    obs::Counter c_writes_;
-    obs::Counter c_repl_offload_;
-    obs::Counter c_repl_sends_;
-    obs::Counter c_repl_applied_;
-    obs::Timer t_cmd_all_;
-    obs::Timer t_cmd_write_;
-    obs::Timer t_cmd_read_;
+    obs::Counter c_reads_ = stats_.counter_handle("reads");
+    obs::Counter c_writes_ = stats_.counter_handle("writes");
+    obs::Counter c_repl_offload_ = stats_.counter_handle("repl_offload_requests");
+    obs::Counter c_repl_sends_ = stats_.counter_handle("repl_sends");
+    obs::Counter c_writes_parked_ = stats_.counter_handle("writes_parked");
+    obs::Counter c_writes_rejected_min_slaves_ =
+        stats_.counter_handle("writes_rejected_min_slaves");
+    obs::Counter c_dup_suppressed_ = stats_.counter_handle("dup_suppressed");
+    obs::Counter c_dup_evictions_ = stats_.counter_handle("dup_evictions");
+    obs::Counter c_dup_evictions_applied_ =
+        stats_.counter_handle("dup_evictions_applied");
+    obs::Counter c_sync_full_ = stats_.counter_handle("sync_full");
+    obs::Counter c_protocol_errors_ = stats_.counter_handle("protocol_errors");
+    obs::Counter c_node_msgs_malformed_ = stats_.counter_handle("node_msgs_malformed");
+    obs::Counter c_node_msgs_unexpected_ =
+        stats_.counter_handle("node_msgs_unexpected");
+    obs::Counter c_expired_keys_ = stats_.counter_handle("expired_keys");
+    obs::Counter c_reregistrations_ = stats_.counter_handle("reregistrations");
+    obs::Counter c_crashes_ = stats_.counter_handle("crashes");
+    obs::Counter c_recoveries_ = stats_.counter_handle("recoveries");
+    obs::Counter c_cold_recoveries_ = stats_.counter_handle("cold_recoveries");
+    obs::Counter c_snapshots_persisted_ = stats_.counter_handle("snapshots_persisted");
+    obs::Timer t_cmd_service_ = stats_.timer_handle("cmd.service");
 
     obs::Tracer* tracer_ = nullptr;
     std::uint32_t obs_track_ = UINT32_MAX;

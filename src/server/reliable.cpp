@@ -68,8 +68,6 @@ std::shared_ptr<ReliableChannel> ReliableChannel::wrap(sim::Simulation& sim,
     ch->on_broken_ = std::move(on_broken);
     if (reg != nullptr) {
         ch->c_retransmits_ = reg->counter_handle("rel.retransmits");
-        ch->c_dups_ = reg->counter_handle("rel.dups_suppressed");
-        ch->c_crc_drops_ = reg->counter_handle("rel.crc_drops");
         ch->c_acks_ = reg->counter_handle("rel.acks_sent");
     }
     std::weak_ptr<ReliableChannel> weak = ch;
@@ -120,7 +118,6 @@ void ReliableChannel::on_rto(std::uint64_t epoch) {
         return;
     }
     ++oldest.retries;
-    ++retransmits_;
     c_retransmits_.incr();
     inner_->send(oldest.wire);
     rto_ = std::min(
@@ -155,25 +152,19 @@ void ReliableChannel::on_inner_message(std::string payload) {
         if (crc32(body) != crc) {
             // Truncated/garbled reassembly under injected loss: drop and let
             // the ack (not covering this seq) trigger a retransmission.
-            ++crc_drops_;
-            c_crc_drops_.incr();
             schedule_ack(/*immediate=*/true);
             return;
         }
         handle_data(seq, std::move(body));
-        return;
     }
-    // Not a reliable frame at all — garbage from a loss hole.
-    ++crc_drops_;
-    c_crc_drops_.incr();
+    // Anything else is not a reliable frame at all (garbage from a loss
+    // hole) and is dropped.
 }
 
 void ReliableChannel::handle_data(std::uint64_t seq, std::string payload) {
     if (seq <= delivered_seq_) {
         // Retransmission of something we already have: the sender missed an
         // ack. Re-ack immediately so it stops.
-        ++dups_suppressed_;
-        c_dups_.incr();
         schedule_ack(/*immediate=*/true);
         return;
     }
@@ -191,12 +182,10 @@ void ReliableChannel::handle_data(std::uint64_t seq, std::string payload) {
         return;
     }
     // A hole precedes this message: hold it and tell the sender where we
-    // are so the missing one is retransmitted promptly.
+    // are so the missing one is retransmitted promptly. Beyond the window
+    // it is dropped; retransmission will restore order.
     if (reorder_.size() < params_.reorder_window) {
         reorder_.emplace(seq, std::move(payload));
-    } else {
-        ++dups_suppressed_;
-        c_dups_.incr(); // dropped; retransmission will restore order
     }
     schedule_ack(/*immediate=*/true);
 }
@@ -207,7 +196,6 @@ void ReliableChannel::send_ack_now() {
     wire.reserve(kAckFrame);
     wire.push_back(kAck);
     put_u64(wire, delivered_seq_);
-    ++acks_sent_;
     c_acks_.incr();
     inner_->send(std::move(wire));
 }

@@ -54,9 +54,9 @@ public:
 
     /// Wrap `inner`; the wrapper installs its own inner receive handler
     /// immediately (shared_from_this forbids doing this in a constructor).
-    /// When `reg` is given, the owner's aggregate rel.* counters
-    /// (retransmits/dups/crc drops/acks) are pre-resolved once here and the
-    /// retransmit hot path pays a pointer bump instead of a map lookup.
+    /// When `reg` is given, the owner's aggregate rel.retransmits and
+    /// rel.acks_sent counters are resolved once here, so the hot path pays
+    /// a pointer bump instead of a map lookup.
     static std::shared_ptr<ReliableChannel> wrap(sim::Simulation& sim,
                                                  net::ChannelPtr inner,
                                                  ReliableParams params = {},
@@ -81,13 +81,6 @@ public:
 
     [[nodiscard]] bool broken() const { return broken_; }
     [[nodiscard]] const net::ChannelPtr& inner() const { return inner_; }
-
-    // --- introspection for tests and stats --------------------------------
-    [[nodiscard]] std::uint64_t retransmits() const { return retransmits_; }
-    [[nodiscard]] std::uint64_t dups_suppressed() const { return dups_suppressed_; }
-    [[nodiscard]] std::uint64_t crc_drops() const { return crc_drops_; }
-    [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
-    [[nodiscard]] std::size_t unacked_count() const { return unacked_.size(); }
 
 private:
     ReliableChannel(sim::Simulation& sim, net::ChannelPtr inner,
@@ -129,16 +122,9 @@ private:
     bool broken_ = false;
     bool closed_ = false;
 
-    std::uint64_t retransmits_ = 0;
-    std::uint64_t dups_suppressed_ = 0;
-    std::uint64_t crc_drops_ = 0;
-    std::uint64_t acks_sent_ = 0;
-
     // Owner-scoped aggregate counters, pre-resolved in wrap(). Inert when
     // no registry was supplied.
     obs::Counter c_retransmits_;
-    obs::Counter c_dups_;
-    obs::Counter c_crc_drops_;
     obs::Counter c_acks_;
 };
 

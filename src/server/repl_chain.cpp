@@ -28,7 +28,6 @@ bool ChainReplication::on_frame(const NodeMsg& msg) {
     if (msg.type == NodeMsg::Type::kChainData && s_.role_ == Role::kSlave) {
         // Relay downstream first (so the hop overlaps our own apply), then
         // apply locally.
-        s_.stats_.incr("chain_frames");
         forward_frame(msg.field, msg.body);
         if (s_.tracer_ != nullptr && s_.tracer_->enabled()) {
             s_.tracer_->repl_slave_apply(msg.field, s_.obs_track_);
@@ -44,7 +43,7 @@ bool ChainReplication::serve_replica_read() {
     // passed through it), so the tail may answer reads while its probe
     // lease is fresh and it has caught up to its assignment-time floor.
     if (!read_ok()) return false;
-    s_.stats_.incr("chain_tail_reads");
+    c_tail_reads_.incr();
     return true;
 }
 
@@ -53,7 +52,6 @@ bool ChainReplication::on_link_broken(const net::Channel* raw) {
     s_.drop_link(succ_link_);
     // No redial on our own: the NIC's failure detector re-splices the
     // chain and sends a fresh assignment (possibly naming someone else).
-    s_.stats_.incr("chain_links_broken");
     return true;
 }
 
@@ -74,7 +72,7 @@ void ChainReplication::reset() {
 
 void ChainReplication::handle_set(const NodeMsg& msg) {
     if (s_.role_ != Role::kSlave) return;
-    s_.stats_.incr("chain_sets");
+    c_sets_.incr();
     if (msg.body == "-") {
         // The master died: the chain carries no commits until it returns,
         // so leave it (and stop serving leased tail reads immediately).
@@ -111,7 +109,6 @@ void ChainReplication::dial_successor() {
         ep, static_cast<std::uint16_t>(s_.cfg_.port + 1), &dial_epoch_,
         &succ_link_,
         [this](const net::ChannelPtr& ch) {
-            s_.stats_.incr("chain_links_dialed");
             // Relay frames that arrived while the dial was in flight.
             while (!fwd_pending_.empty()) {
                 auto [off, data] = std::move(fwd_pending_.front());
@@ -123,9 +120,7 @@ void ChainReplication::dial_successor() {
         [this]() {
             // A tail needs no successor; a node off the chain waits for a
             // fresh assignment.
-            if (is_tail_ || !member_) return false;
-            dial_successor();
-            return true;
+            if (!is_tail_ && member_) dial_successor();
         });
 }
 
@@ -136,7 +131,7 @@ void ChainReplication::forward_frame(std::int64_t offset,
         s_.self_.core->consume(s_.costs_.jittered(s_.rng_, s_.costs_.repl_feed_slave) +
                                s_.costs_.copy_cost(bytes.size()));
         succ_link_->send(NodeMsg{NodeMsg::Type::kChainData, offset, bytes}.encode());
-        s_.stats_.incr("chain_forwards");
+        c_forwards_.incr();
         return;
     }
     // Successor link still dialing: hold the frame (bounded). Overflow is
@@ -145,8 +140,6 @@ void ChainReplication::forward_frame(std::int64_t offset,
     if (fwd_pending_bytes_ + bytes.size() <= kFwdPendingCap) {
         fwd_pending_bytes_ += bytes.size();
         fwd_pending_.emplace_back(offset, bytes);
-    } else {
-        s_.stats_.incr("chain_fwd_dropped");
     }
 }
 

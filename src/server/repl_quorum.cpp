@@ -20,7 +20,7 @@ bool QuorumReplication::on_frame(const NodeMsg& msg) {
     if (msg.type == NodeMsg::Type::kQuorumCommit && s_.role_ != Role::kSlave) {
         // The NIC released a new majority watermark.
         commit_offset_ = std::max(commit_offset_, msg.field);
-        s_.stats_.incr("quorum_commit_updates");
+        c_commit_updates_.incr();
         s_.flush_parked();
         return true;
     }
@@ -51,7 +51,6 @@ void QuorumReplication::on_read_parked(std::int64_t offset) {
                            s_.costs_.copy_cost(range.size()));
     s_.nic_link_->send(NodeMsg{NodeMsg::Type::kReadRepair, from, range}.encode());
     read_repair_sent_ = s_.backlog_.master_offset();
-    s_.stats_.incr("read_repairs_sent");
 }
 
 } // namespace skv::server

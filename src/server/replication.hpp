@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "net/channel.hpp"
+#include "obs/metrics.hpp"
 #include "server/config.hpp"
 #include "server/protocol.hpp"
 
@@ -50,6 +51,8 @@ protected:
     [[nodiscard]] int valid_slaves() const;
     /// Whether at least `need` valid slaves acknowledged `offset`.
     [[nodiscard]] bool acked(int need, std::int64_t offset) const;
+    /// The node's registry, which the protocol's own counters live in.
+    [[nodiscard]] obs::Registry& stats() const;
 
     KvServer& s_;
 };
@@ -90,6 +93,10 @@ private:
     std::deque<std::pair<std::int64_t, std::string>> fwd_pending_;
     std::size_t fwd_pending_bytes_ = 0;
     static constexpr std::size_t kFwdPendingCap = 8 * 1024 * 1024;
+
+    obs::Counter c_sets_ = stats().counter_handle("chain_sets");
+    obs::Counter c_forwards_ = stats().counter_handle("chain_forwards");
+    obs::Counter c_tail_reads_ = stats().counter_handle("chain_tail_reads");
 };
 
 /// ABD-style quorum replication: slaves report progress to the NIC, the
@@ -109,6 +116,7 @@ public:
 private:
     std::int64_t commit_offset_ = 0;    // NIC-released majority watermark
     std::int64_t read_repair_sent_ = 0; // high-water dedup for write-backs
+    obs::Counter c_commit_updates_ = stats().counter_handle("quorum_commit_updates");
 };
 
 } // namespace skv::server

@@ -23,7 +23,6 @@ void NicChain::fan_out(const NodeMsg& msg) {
     // No live member: the write stays in the master's backlog and is served
     // to the next chain via resync; the master's commit gate holds it back
     // from clients meanwhile.
-    n_.stats_.incr("chain_no_head");
 }
 
 // simlint:observe-only
@@ -60,7 +59,6 @@ void NicChain::on_membership_change() {
         chain[i]->channel->send(
             NodeMsg{NodeMsg::Type::kChainSet, n_.fanout_offset_, body}.encode());
     }
-    n_.stats_.incr("chain_reconfigs");
     // Ranges the old chain never relayed to a (re)joining member can only
     // come from the master's backlog.
     if (feeding) {

@@ -15,9 +15,7 @@ NicKv::NicKv(sim::Simulation& sim, const cpu::CostModel& costs,
              server::ReliableParams reliable, server::ReplicationMode mode)
     : sim_(sim), costs_(costs), cm_(cm), nic_(nic), cfg_(std::move(cfg)),
       reliable_(reliable), rng_(sim.fork_rng()),
-      repl_(make_nic_replication(*this, mode)),
-      c_fanout_sends_(stats_.counter_handle("fanout_sends")),
-      c_repl_requests_(stats_.counter_handle("repl_requests")) {}
+      repl_(make_nic_replication(*this, mode)) {}
 
 void NicKv::start() {
     SKV_CHECK(!started_);
@@ -45,14 +43,12 @@ void NicKv::crash() {
     promoted_idx_ = -1;
     fanout_offset_ = 0;
     repl_->on_crash();
-    stats_.incr("crashes");
 }
 
 void NicKv::recover() {
     SKV_CHECK(crashed_);
     crashed_ = false;
     for (int i = 0; i < nic_.core_count(); ++i) nic_.core(i).resume();
-    stats_.incr("recoveries");
     // Fresh probe chain; the pre-crash chain's scheduled events carry a
     // stale epoch and are ignored. Registration is peer-driven: the master
     // re-attaches and slaves re-register after probe_silence_timeout.
@@ -71,7 +67,7 @@ void NicKv::on_accept(net::ChannelPtr inner) {
         sim::NodeScope owner_node(endpoint());
         const auto msg = NodeMsg::decode(payload);
         if (!msg.has_value()) {
-            stats_.incr("malformed");
+            c_malformed_.incr();
             return;
         }
         // Identify the entry by channel pointer.
@@ -123,10 +119,7 @@ NicKv::Prior NicKv::upsert_node(NodeEntry e) {
         *existing = std::move(e);
         return prior;
     }
-    if (!nic_.reserve_memory(cfg_.node_entry_bytes)) {
-        stats_.incr("oom_rejects");
-        return Prior::kRejected;
-    }
+    if (!nic_.reserve_memory(cfg_.node_entry_bytes)) return Prior::kRejected;
     nodes_.push_back(std::move(e));
     return Prior::kNew;
 }
@@ -208,7 +201,7 @@ void NicKv::handle(const net::ChannelPtr& ch, const NodeMsg& msg) {
                 register_master(ch, msg);
             } else {
                 // Baseline slave->master kSync never targets the NIC.
-                stats_.incr("unexpected_msgs");
+                c_unexpected_msgs_.incr();
             }
             break;
         case NodeMsg::Type::kInitSync:
@@ -237,7 +230,7 @@ void NicKv::handle(const net::ChannelPtr& ch, const NodeMsg& msg) {
         case NodeMsg::Type::kQuorumCommit:
         case NodeMsg::Type::kQuorumAck:
         case NodeMsg::Type::kReadRepair:
-            stats_.incr("unexpected_msgs");
+            c_unexpected_msgs_.incr();
             break;
     }
 }
@@ -263,11 +256,10 @@ void NicKv::register_master(const net::ChannelPtr& ch, const NodeMsg& msg) {
         if (nodes_[i].is_master) master_idx_ = static_cast<int>(i);
     }
     std::erase(pending_, ch);
-    stats_.incr("master_registered");
     if (prior == Prior::kInvalid) {
         // The crashed master is back (paper §III-D): it resumes mastership
         // and the stand-in steps down.
-        stats_.incr("recoveries_detected");
+        c_recoveries_detected_.incr();
         demote_stand_in();
         publish_slave_status();
     }
@@ -294,7 +286,7 @@ void NicKv::register_slave(const net::ChannelPtr& ch, const NodeMsg& msg) {
     if (prior == Prior::kRejected) return;
     std::erase(pending_, ch);
     assign_cores();
-    stats_.incr(prior == Prior::kNew ? "slave_registered" : "slave_reregistered");
+    if (prior != Prior::kNew) c_slave_reregistered_.incr();
 
     // Paper Fig. 8 step 2: notify the master that a slave wants to sync.
     if (net::Channel* master = open_master_link()) {
@@ -345,6 +337,8 @@ void NicReplication::fan_out(const NodeMsg& msg) {
     }
 }
 
+obs::Registry& NicReplication::stats() const { return n_.stats_; }
+
 int NicReplication::pick_stand_in() const {
     // The first valid slave: fan-out's historical pick, and chain's head
     // (upstream members hold a superset of everything downstream).
@@ -360,11 +354,10 @@ void NicKv::request_resync(const NodeEntry& e) {
     if (master == nullptr) return;
     master->send(
         NodeMsg{NodeMsg::Type::kResyncRequest, e.repl_offset, e.name}.encode());
-    stats_.incr("resyncs_requested");
+    c_resyncs_requested_.incr();
 }
 
 void NicKv::handle_probe_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
-    stats_.incr("probe_acks_received");
     nic_.core(0).consume(costs_.event_dispatch);
     NodeEntry* e = find_by_channel(ch);
     if (e == nullptr) return;
@@ -382,7 +375,7 @@ void NicKv::handle_probe_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
         // Node recovered. Clear the invalid flag and, if it fell behind the
         // stream while dead, ask the master to serve it a resync.
         e->valid = true;
-        stats_.incr("recoveries_detected");
+        c_recoveries_detected_.incr();
         if (e->is_master) {
             // Paper §III-D: the recovered master resumes mastership and the
             // stand-in is demoted.
@@ -400,7 +393,6 @@ void NicKv::handle_probe_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
         // re-delivers (e.g. frames relayed while its chain predecessor was
         // dialing it).
         request_resync(*e);
-        stats_.incr("stall_resyncs");
     }
 }
 
@@ -415,7 +407,7 @@ void NicKv::probe_cycle(std::uint64_t epoch) {
             NodeMsg{NodeMsg::Type::kProbe,
                     static_cast<std::int64_t>(probe_round_), ""}
                 .encode());
-        stats_.incr("probes_sent");
+        c_probes_sent_.incr();
     }
     // Give this round's replies `waiting_time` to come home.
     sim_.after(cfg_.waiting_time, [this]() { check_timeouts(); });
@@ -431,7 +423,7 @@ void NicKv::check_timeouts() {
         if (now - e.last_heard_ns > cfg_.waiting_time.ns() + cfg_.probe_interval.ns()) {
             e.valid = false;
             changed = true;
-            stats_.incr("failures_detected");
+            c_failures_detected_.incr();
         }
     }
     if (!changed) return;
@@ -452,8 +444,8 @@ void NicKv::on_link_broken(const net::Channel* raw) {
             // ring/QP graph.
             e.channel->close();
             e.channel.reset();
-            stats_.incr("failures_detected");
-            stats_.incr("links_broken");
+            c_failures_detected_.incr();
+            c_links_broken_.incr();
             after_invalidation();
             return;
         }
@@ -478,7 +470,7 @@ void NicKv::maybe_promote() {
         promoted_idx_ = pick;
         nodes_[static_cast<std::size_t>(pick)].channel->send(
             NodeMsg{NodeMsg::Type::kPromote, 0, ""}.encode());
-        stats_.incr("failovers");
+        c_failovers_.incr();
     }
 }
 

@@ -166,6 +166,19 @@ private:
     NicKvConfig cfg_;
     server::ReliableParams reliable_;
     sim::Rng rng_;
+    // Declared before repl_: the protocol's counters resolve against it.
+    obs::Registry stats_;
+    obs::Counter c_fanout_sends_ = stats_.counter_handle("fanout_sends");
+    obs::Counter c_repl_requests_ = stats_.counter_handle("repl_requests");
+    obs::Counter c_malformed_ = stats_.counter_handle("malformed");
+    obs::Counter c_unexpected_msgs_ = stats_.counter_handle("unexpected_msgs");
+    obs::Counter c_slave_reregistered_ = stats_.counter_handle("slave_reregistered");
+    obs::Counter c_resyncs_requested_ = stats_.counter_handle("resyncs_requested");
+    obs::Counter c_probes_sent_ = stats_.counter_handle("probes_sent");
+    obs::Counter c_failures_detected_ = stats_.counter_handle("failures_detected");
+    obs::Counter c_recoveries_detected_ = stats_.counter_handle("recoveries_detected");
+    obs::Counter c_links_broken_ = stats_.counter_handle("links_broken");
+    obs::Counter c_failovers_ = stats_.counter_handle("failovers");
     /// Built once from the mode handed to the constructor.
     std::unique_ptr<NicReplication> repl_;
 
@@ -181,10 +194,6 @@ private:
     bool started_ = false;
     bool crashed_ = false;
 
-    obs::Registry stats_;
-    // Fan-out hot-path counters, pre-resolved in the constructor.
-    obs::Counter c_fanout_sends_;
-    obs::Counter c_repl_requests_;
     obs::Tracer* tracer_ = nullptr;
     std::uint32_t obs_track_ = UINT32_MAX;
 };

@@ -70,7 +70,7 @@ void NicQuorum::handle_ack(const net::ChannelPtr& ch, const NodeMsg& msg) {
     if (e == nullptr || e->is_master) return;
     e->quorum_ack = std::max(e->quorum_ack, msg.field);
     e->repl_offset = std::max(e->repl_offset, msg.field);
-    n_.stats_.incr("quorum_acks");
+    c_acks_.incr();
     recompute_watermark();
 }
 
@@ -96,7 +96,7 @@ void NicQuorum::recompute_watermark() {
     if (master == nullptr) return;
     n_.nic_.core(0).consume(n_.costs_.event_dispatch);
     master->send(NodeMsg{NodeMsg::Type::kQuorumCommit, watermark_, ""}.encode());
-    n_.stats_.incr("quorum_commits");
+    c_commits_.incr();
 }
 
 void NicQuorum::handle_read_repair(const NodeMsg& msg) {
@@ -113,9 +113,8 @@ void NicQuorum::handle_read_repair(const NodeMsg& msg) {
         core.consume(n_.costs_.jittered(n_.rng_, n_.costs_.nic_repl_fanout_per_slave) +
                      n_.costs_.copy_cost(msg.body.size()));
         e.channel->send(wire);
-        n_.stats_.incr("read_repair_sends");
     }
-    n_.stats_.incr("read_repairs");
+    c_read_repairs_.incr();
 }
 
 } // namespace skv::offload

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/channel.hpp"
+#include "obs/metrics.hpp"
 #include "server/config.hpp"
 #include "server/protocol.hpp"
 
@@ -46,6 +47,9 @@ public:
     virtual void on_crash() {}
 
 protected:
+    /// Nic-KV's registry, which the protocol's own counters live in.
+    [[nodiscard]] obs::Registry& stats() const;
+
     NicKv& n_;
 };
 
@@ -88,6 +92,9 @@ private:
     void recompute_watermark();
 
     std::int64_t watermark_ = 0;
+    obs::Counter c_acks_ = stats().counter_handle("quorum_acks");
+    obs::Counter c_commits_ = stats().counter_handle("quorum_commits");
+    obs::Counter c_read_repairs_ = stats().counter_handle("read_repairs");
 };
 
 } // namespace skv::offload

@@ -13,7 +13,6 @@ TEST(RespEncode, Primitives) {
     EXPECT_EQ(bulk("hi"), "$2\r\nhi\r\n");
     EXPECT_EQ(bulk(""), "$0\r\n\r\n");
     EXPECT_EQ(null_bulk(), "$-1\r\n");
-    EXPECT_EQ(null_array(), "*-1\r\n");
     EXPECT_EQ(array_header(3), "*3\r\n");
 }
 

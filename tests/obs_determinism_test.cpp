@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
 #include <tuple>
 
 #include "kv/resp.hpp"
 #include "obs/export.hpp"
 #include "skv/cluster.hpp"
+#include "workload/ycsb/open_loop.hpp"
 
 namespace skv {
 namespace {
@@ -196,6 +199,64 @@ TEST(ObsDeterminism, SlowlogAndLatencyCommandsWork) {
     const std::string lreset = roundtrip({"LATENCY", "RESET"});
     EXPECT_EQ(lreset.substr(0, 1), ":");
 }
+
+/// Counter names per registry of the nodes a replicated write crosses.
+std::map<std::string, std::set<std::string>> counter_names(offload::Cluster& c) {
+    std::map<std::string, std::set<std::string>> out;
+    const auto add = [&out](const std::string& node, const obs::Registry& r) {
+        for (const auto& [name, value] : r.snapshot().counters) {
+            out[node].insert(name);
+        }
+    };
+    add("master", c.master().stats());
+    for (int i = 0; i < c.slave_count(); ++i) {
+        add("slave" + std::to_string(i), c.slave(i).stats());
+    }
+    add("nic-kv", c.nic_kv()->stats());
+    return out;
+}
+
+/// A cell exists only through a handle its owner resolved when it was built
+/// (DESIGN.md §11), so traffic never adds a name: the counter names after
+/// start() are the names after a commit-gated YCSB-A window.
+class ObsRegistration
+    : public ::testing::TestWithParam<server::ReplicationMode> {};
+
+TEST_P(ObsRegistration, EveryCounterIsRegisteredBeforeTraffic) {
+    offload::ClusterConfig cfg;
+    cfg.seed = 0x5eed;
+    cfg.n_slaves = 2;
+    cfg.offload = true;
+    cfg.server_tmpl.replication_mode = GetParam();
+    cfg.server_tmpl.wait_for_slaves = 1;
+    cfg.server_tmpl.ack_on_apply = true;
+    cfg.server_tmpl.serve_stale_reads = false;
+    offload::Cluster c(cfg);
+    c.start();
+    const auto before = counter_names(c);
+
+    workload::ycsb::OpenLoopOptions opts;
+    opts.ycsb = workload::ycsb::YcsbOptions::standard(workload::ycsb::Workload::kA);
+    opts.ycsb.record_count = 1'000;
+    opts.connections = 16;
+    opts.offered_kops = 10.0;
+    opts.warmup = sim::milliseconds(20);
+    opts.measure = sim::milliseconds(100);
+    const auto r = workload::ycsb::run_open_loop(c, opts);
+    ASSERT_GT(r.completed, 0u) << r.summary();
+    EXPECT_GT(c.master().stats().counter("writes_parked"), 0u);
+
+    EXPECT_EQ(counter_names(c), before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, ObsRegistration,
+    ::testing::Values(server::ReplicationMode::kFanout,
+                      server::ReplicationMode::kChain,
+                      server::ReplicationMode::kQuorum),
+    [](const ::testing::TestParamInfo<server::ReplicationMode>& info) {
+        return std::string(server::to_string(info.param));
+    });
 
 } // namespace
 } // namespace skv

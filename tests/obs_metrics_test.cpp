@@ -9,108 +9,66 @@ namespace skv::obs {
 namespace {
 
 TEST(ObsRegistry, HandleAndStringApiShareCells) {
+    // Handles write, the string API reads: both address the same cell.
     Registry r;
     Counter c = r.counter_handle("ops");
     c.incr();
     c.incr(4);
     EXPECT_EQ(r.counter("ops"), 5u);
-    r.incr("ops", 2);
-    EXPECT_EQ(c.value(), 7u);
+    EXPECT_EQ(c.value(), 5u);
     // Re-resolving the same name yields the same cell.
     Counter again = r.counter_handle("ops");
     again.incr();
-    EXPECT_EQ(c.value(), 8u);
+    EXPECT_EQ(c.value(), 6u);
+    EXPECT_EQ(r.counter("ops"), 6u);
 }
 
 TEST(ObsRegistry, DefaultHandlesAreInert) {
     Counter c;
-    Gauge g;
     Timer t;
     c.incr();
-    g.set(7);
     t.record_ns(100);
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
     EXPECT_EQ(t.histogram(), nullptr);
     EXPECT_FALSE(static_cast<bool>(c));
 }
 
-TEST(ObsRegistry, GaugeHandle) {
-    Registry r;
-    Gauge g = r.gauge_handle("depth");
-    g.set(10);
-    g.add(-3);
-    EXPECT_EQ(r.gauge("depth"), 7);
-    r.set_gauge("depth", 2);
-    EXPECT_EQ(g.value(), 2);
-}
-
 TEST(ObsRegistry, FormatMatchesStatsRegistryLayout) {
-    // Byte-compatibility contract: "k=v\n", counters sorted first, gauges
-    // sorted after, timers excluded (the chaos fingerprint folds this in).
+    // "k=v\n" for every registered counter, zeros included, sorted by name;
+    // timers excluded (the chaos fingerprint folds this in).
     Registry r;
-    r.incr("b", 2);
-    r.incr("a");
-    r.set_gauge("z", -1);
+    r.counter_handle("b").incr(2);
+    r.counter_handle("a").incr();
+    r.counter_handle("idle");
     r.timer_handle("t").record_ns(5);
-    EXPECT_EQ(r.format(), "a=1\nb=2\nz=-1\n");
+    EXPECT_EQ(r.format(), "a=1\nb=2\nidle=0\n");
 }
 
 TEST(ObsRegistry, MissingNamesReadZero) {
     Registry r;
     EXPECT_EQ(r.counter("nope"), 0u);
-    EXPECT_EQ(r.gauge("nope"), 0);
     // Reads must not create cells.
     EXPECT_EQ(r.format(), "");
+    EXPECT_TRUE(r.snapshot().counters.empty());
 }
 
-TEST(ObsRegistry, ClearZeroesCellsButKeepsHandles) {
-    Registry r;
-    Counter c = r.counter_handle("x");
-    Timer t = r.timer_handle("lat");
-    c.incr(9);
-    t.record_ns(1000);
-    r.clear();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(t.histogram()->count(), 0u);
-    c.incr();
-    EXPECT_EQ(r.counter("x"), 1u);
-}
-
-// The string API that net::FaultInjector keeps its stats in.
 TEST(Stats, CountersAccumulate) {
     Registry s;
-    s.incr("ops");
-    s.incr("ops", 4);
+    const Counter ops = s.counter_handle("ops");
+    ops.incr();
+    ops.incr(4);
     EXPECT_EQ(s.counter("ops"), 5u);
     EXPECT_EQ(s.counter("missing"), 0u);
 }
 
-TEST(Stats, Gauges) {
-    Registry s;
-    s.set_gauge("depth", 7);
-    s.set_gauge("depth", 3);
-    EXPECT_EQ(s.gauge("depth"), 3);
-    EXPECT_EQ(s.gauge("missing"), 0);
-}
-
 TEST(Stats, FormatSortedDeterministic) {
     Registry s;
-    s.incr("zeta");
-    s.incr("alpha", 2);
+    const Counter zeta = s.counter_handle("zeta");
+    const Counter alpha = s.counter_handle("alpha");
+    zeta.incr();
+    alpha.incr(2);
     const auto text = s.format();
     EXPECT_LT(text.find("alpha=2"), text.find("zeta=1"));
-}
-
-TEST(Stats, ClearEmpties) {
-    // clear() empties every value; the names stay registered at zero.
-    Registry s;
-    s.incr("x");
-    s.set_gauge("g", 4);
-    s.clear();
-    EXPECT_EQ(s.counter("x"), 0u);
-    EXPECT_EQ(s.gauge("g"), 0);
-    EXPECT_EQ(s.format(), "x=0\ng=0\n");
 }
 
 TEST(ObsExport, JsonWriterProducesStableDocument) {

@@ -42,7 +42,9 @@ TEST(NodeMsg, DecodeAcceptsExactlyTheListedTags) {
         const auto d = NodeMsg::decode(wire);
         EXPECT_EQ(d.has_value(), valid.count(static_cast<char>(c)) != 0)
             << "tag byte " << c;
-        if (d) EXPECT_EQ(static_cast<char>(d->type), static_cast<char>(c));
+        if (d) {
+            EXPECT_EQ(static_cast<char>(d->type), static_cast<char>(c));
+        }
     }
 }
 

@@ -13,11 +13,11 @@ struct NodeMsg {
   std::string encode() const;
 };
 
-struct Stats { void incr(const char*); };
+struct Counter { void incr() const; };
 struct Chan { void send(const std::string&); };
 
 struct ChainNode {
-  Stats stats_;
+  Counter c_unexpected_msgs_;
   Chan ch_;
   void apply(const NodeMsg& m);
 
@@ -27,7 +27,7 @@ struct ChainNode {
         apply(m);
         break;
       case NodeMsg::Type::kState:
-        stats_.incr("unexpected_msgs");
+        c_unexpected_msgs_.incr();
         break;
     }
   }

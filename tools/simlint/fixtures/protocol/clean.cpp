@@ -23,11 +23,11 @@ constexpr NodeMsg::Type kAllTypes[] = {
     NodeMsg::Type::kLegacy,
 };
 
-struct Stats { void incr(const char*); };
+struct Counter { void incr() const; };
 struct Chan { void send(const std::string&); };
 
 struct Node {
-  Stats stats_;
+  Counter c_unexpected_msgs_;
   Chan ch_;
 
   void apply(const NodeMsg& m);
@@ -48,10 +48,10 @@ struct Node {
         apply(m);
         break;
       case NodeMsg::Type::kPong:
-        stats_.incr("unexpected_msgs");
+        c_unexpected_msgs_.incr();
         break;
       case NodeMsg::Type::kLegacy:
-        stats_.incr("unexpected_msgs");
+        c_unexpected_msgs_.incr();
         break;
     }
   }

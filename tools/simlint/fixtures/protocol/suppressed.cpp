@@ -11,11 +11,11 @@ struct NodeMsg {
   std::string encode() const;
 };
 
-struct Stats { void incr(const char*); };
+struct Counter { void incr() const; };
 struct Chan { void send(const std::string&); };
 
 struct Node {
-  Stats stats_;
+  Counter c_unexpected_msgs_;
   Chan ch_;
   void apply(const NodeMsg& m);
   void dispatch(const NodeMsg& m) {
@@ -25,7 +25,7 @@ struct Node {
         apply(m);
         break;
       default:
-        stats_.incr("unexpected_msgs");
+        c_unexpected_msgs_.incr();
         break;
     }
   }

@@ -167,7 +167,8 @@ LABEL_RE = re.compile(
 SWITCH_RE = re.compile(r"\bswitch\s*\(")
 IF_RE = re.compile(r"(?<![\w#])if\s*\(")
 TYPE_TABLE_RE = re.compile(r"\bType\s+(k?\w+)\s*\[[^\]]*\]\s*=\s*\{")
-STATS_RE = re.compile(r"\bstats_?\s*\.\s*incr\s*\(")
+# A counter bump through a metric handle: `c_x_.incr()`, `n_.c_x_.incr()`.
+COUNTER_RE = re.compile(r"\b(?:\w+\s*(?:\.|->)\s*)+incr\s*\(")
 WSEQ_RE = re.compile(r'"(WSEQ[A-Z0-9]*)"')
 WSEQ_HANDLE_RE = re.compile(r"argv\s*\[\s*0\s*\]\s*[!=]=")
 WSEQ_SEND_RE = re.compile(
@@ -191,7 +192,7 @@ class Dispatcher:
 
 def _blank_nonactions(body: str) -> str:
     """Blank everything in a case-group body that is not real handling work:
-    if-headers, braces, bare break/return, [[fallthrough]], stats counters.
+    if-headers, braces, bare break/return, [[fallthrough]], counter bumps.
     Remaining non-space chars mark 'action' offsets."""
     buf = list(body)
 
@@ -203,7 +204,7 @@ def _blank_nonactions(body: str) -> str:
     for m in IF_RE.finditer(body):
         op = body.find("(", m.start())
         blank(m.start(), match_paren(body, op) + 1)
-    for m in STATS_RE.finditer(body):
+    for m in COUNTER_RE.finditer(body):
         op = body.find("(", m.end() - 1)
         cp = match_paren(body, op)
         end = cp + 1
